@@ -1,14 +1,12 @@
-//! Criterion slots-per-second benchmark of the two engine cores: the
-//! retained dense reference loop (`Sim::run_reference`, per-listener
-//! neighbor iteration) against the word-parallel bitset engine behind
-//! [`Sim::drive`] — the tentpole's before/after pair.
+//! Criterion slots-per-second benchmark of the slot engine:
+//! [`Sim::drive`] over a [`Schedule::Dense`] primitive.
 //!
 //! Each size runs a fixed number of dense slots per iteration (scaled so
 //! one iteration stays in the milliseconds), so slots/s is
 //! `slots × 10⁹ / (ns/iter)` with the slot count in the benchmark id.
 //! The workload is deterministic — every 16th vertex (rotating with the
-//! slot index) transmits while the rest listen — so both cores resolve
-//! the same collision pattern and the comparison is allocation-free.
+//! slot index) transmits while the rest listen — so every run resolves
+//! the same collision pattern without allocating per slot.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ebc_graphs::families::Family;
@@ -37,28 +35,13 @@ fn workload(n: usize) -> impl FnMut(NodeId, u64) -> Action<u8> {
     }
 }
 
-fn bench_engines(c: &mut Criterion) {
+fn bench_drive(c: &mut Criterion) {
     for &(n, slots) in SIZES {
         let graph = graph_for(n);
         let all: Vec<NodeId> = (0..graph.n()).collect();
         let nv = graph.n();
 
-        c.bench_function(&format!("engine_dense_n{nv}_slots{slots}"), |b| {
-            let mut sim = Sim::new(Arc::clone(&graph), Model::NoCd, 0);
-            b.iter(|| {
-                let mut heard = 0u64;
-                let mut behavior = ebc_radio::from_fns(workload(nv), |_v, _t, fb| {
-                    if !matches!(fb, Feedback::Silence) {
-                        heard += 1;
-                    }
-                });
-                sim.run_reference(&all, slots, &mut behavior);
-                drop(behavior);
-                heard
-            })
-        });
-
-        c.bench_function(&format!("engine_bitset_n{nv}_slots{slots}"), |b| {
+        c.bench_function(&format!("engine_drive_n{nv}_slots{slots}"), |b| {
             let mut sim = Sim::new(Arc::clone(&graph), Model::NoCd, 0);
             b.iter(|| {
                 let mut heard = 0u64;
@@ -81,5 +64,5 @@ fn bench_engines(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_engines);
+criterion_group!(benches, bench_drive);
 criterion_main!(benches);

@@ -253,7 +253,7 @@ impl SourceDigests {
         self.fingerprint(&keys)
     }
 
-    /// All per-crate digests as a JSON object (stats / serve payloads).
+    /// All per-crate digests as a JSON object (the cache-stats document).
     pub fn to_json(&self) -> Json {
         let mut obj = Json::obj();
         for (krate, digest) in &self.digests {
@@ -433,7 +433,7 @@ impl CellCache {
     /// Reads the raw entry under `key`, if any, plus whether every stored
     /// dependency digest still matches the current sources. Key mismatches
     /// (hash collisions) read as absent.
-    pub fn read_entry(&self, key: &str) -> Option<(Json, bool)> {
+    fn read_entry(&self, key: &str) -> Option<(Json, bool)> {
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
         let entry = Json::parse(&text).ok()?;
         if entry.get("cache_schema").and_then(Json::as_f64) != Some(f64::from(CACHE_SCHEMA_VERSION))
@@ -491,39 +491,6 @@ impl CellCache {
             .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
         std::fs::rename(&tmp, &path)
             .map_err(|e| format!("cannot rename into {}: {e}", path.display()))
-    }
-
-    /// Scans the whole store: `(entries, fresh)` counts, where fresh
-    /// means every stored dependency digest matches the current sources.
-    pub fn scan(&self) -> (usize, usize) {
-        let (mut entries, mut fresh) = (0usize, 0usize);
-        let Ok(shards) = std::fs::read_dir(&self.dir) else {
-            return (0, 0);
-        };
-        for shard in shards.flatten() {
-            let Ok(files) = std::fs::read_dir(shard.path()) else {
-                continue;
-            };
-            for file in files.flatten() {
-                if file.path().extension() != Some(std::ffi::OsStr::new("json")) {
-                    continue;
-                }
-                let Ok(text) = std::fs::read_to_string(file.path()) else {
-                    continue;
-                };
-                let Ok(entry) = Json::parse(&text) else {
-                    continue;
-                };
-                let Some(key) = entry.get("key").and_then(Json::as_str) else {
-                    continue;
-                };
-                entries += 1;
-                if let Some((_, is_fresh)) = self.read_entry(key) {
-                    fresh += usize::from(is_fresh);
-                }
-            }
-        }
-        (entries, fresh)
     }
 }
 
@@ -877,24 +844,6 @@ mod tests {
             cache.digests().combined(),
             "the combined fingerprint must move on a dataset edit"
         );
-    }
-
-    #[test]
-    fn scan_counts_entries_and_freshness() {
-        let root = plant_tree("scan");
-        let store_dir = std::env::temp_dir().join("ebc_cache_store_scan");
-        std::fs::remove_dir_all(&store_dir).ok();
-        let cache =
-            CellCache::open_with(&store_dir, SourceDigests::compute_at(&root).unwrap()).unwrap();
-        let case = sample_case();
-        cache
-            .store(&case_key("m", &case.params, 3), FULL_DEPS, &case)
-            .unwrap();
-        assert_eq!(cache.scan(), (1, 1));
-        std::fs::write(root.join("crates/core/src/lib.rs"), "// core v2\n").unwrap();
-        let cache =
-            CellCache::open_with(&store_dir, SourceDigests::compute_at(&root).unwrap()).unwrap();
-        assert_eq!(cache.scan(), (1, 0), "stale entry must scan as not fresh");
     }
 
     #[test]

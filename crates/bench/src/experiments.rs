@@ -540,9 +540,9 @@ fn run_fig1_path(config: &RunConfig, runner: &mut CaseRunner) -> ExperimentOutpu
             vec![("graph", "path".into()), ("n", n.into())],
             seeds,
             |seed| {
-                let (stats, engine) = path_broadcast(n, 0, &cfg, seed);
+                let (stats, sim) = path_broadcast(n, 0, &cfg, seed);
                 assert!(stats.all_informed, "path broadcast failed (seed {seed})");
-                let r = engine.meter().report();
+                let r = sim.meter().report();
                 vec![
                     ("time", stats.delivery_time as f64),
                     (

@@ -59,7 +59,6 @@ struct Args {
     cache_dir: PathBuf,
     no_cache: bool,
     print_fingerprint: bool,
-    serve: Option<PathBuf>,
 }
 
 const USAGE: &str = "\
@@ -101,10 +100,6 @@ Options:
   --no-cache             Disable the cell cache (every cell re-executes)
   --print-fingerprint    Print the combined code-version fingerprint (the
                          hash CI keys the cache restore on) and exit
-  --serve <SOCKET>       Serve cache queries (ping/fingerprint/stats/cell/
-                         profile/telemetry) on a unix socket until a
-                         client sends quit; profile and telemetry read the
-                         documents under --out-dir
   --out-dir <DIR>        Directory for BENCH_<name>.json files (default .)
   --dataset-dir <DIR>    Where the ds-* families load their dataset files
                          from (default: the vendored datasets/ directory);
@@ -124,7 +119,6 @@ fn parse_args() -> Result<Args, String> {
         cache_dir: PathBuf::from(CACHE_DIR),
         no_cache: false,
         print_fingerprint: false,
-        serve: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -169,7 +163,6 @@ fn parse_args() -> Result<Args, String> {
             "--cache-dir" => args.cache_dir = PathBuf::from(value("--cache-dir")?),
             "--no-cache" => args.no_cache = true,
             "--print-fingerprint" => args.print_fingerprint = true,
-            "--serve" => args.serve = Some(PathBuf::from(value("--serve")?)),
             "--out-dir" => args.out_dir = PathBuf::from(value("--out-dir")?),
             "--dataset-dir" => {
                 // The graphs crate and the cache digests both resolve
@@ -307,23 +300,6 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         };
-    }
-
-    if let Some(socket) = &args.serve {
-        #[cfg(unix)]
-        return match ebc_bench::serve::serve(socket, &args.cache_dir, &args.out_dir) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-        #[cfg(not(unix))]
-        {
-            let _ = socket;
-            eprintln!("error: --serve needs unix sockets");
-            return ExitCode::FAILURE;
-        }
     }
 
     if !args.no_cache {

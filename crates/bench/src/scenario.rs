@@ -40,9 +40,9 @@
 //! (and the headline extension, and the scaling fits) to themselves. Each
 //! faulted seed also runs its clean twin, yielding `success_rate` (every
 //! surviving device informed), `energy_overhead_vs_clean` (total-energy
-//! ratio against the twin), and `lost_sends` columns; adapters that
-//! opt out via [`ebc_core::suite::BroadcastAlgorithm::fault_tolerant`]
-//! are tallied under `skipped_fault_intolerant`.
+//! ratio against the twin), and `lost_sends` columns. Every registered
+//! adapter drives its slots through the faulted [`ebc_radio::Sim`], so
+//! every algorithm runs on every fault axis.
 //!
 //! The matrix runs as a *work queue*: a plan phase enumerates the
 //! surviving `(family, fault, model, algorithm)` cells into a pending
@@ -256,7 +256,7 @@ pub fn run_scenario_matrix(config: &RunConfig, runner: &mut CaseRunner) -> Exper
             .map(|s| s.count)
             .sum()
     };
-    let skipped_incompatible = count("model") + count("graph") + count("fault");
+    let skipped_incompatible = count("model") + count("graph");
     let extra = vec![
         (
             "axes",
@@ -294,7 +294,6 @@ pub fn run_scenario_matrix(config: &RunConfig, runner: &mut CaseRunner) -> Exper
                 .field("skipped_incompatible", skipped_incompatible)
                 .field("skipped_incompatible_model", count("model"))
                 .field("skipped_incompatible_graph", count("graph"))
-                .field("skipped_fault_intolerant", count("fault"))
                 .field("skipped_budget", count("budget"))
                 .field("truncated_cells", truncated_cells)
                 .field("budget_ms_per_cell", budget.as_millis() as u64),
@@ -312,7 +311,6 @@ pub fn run_scenario_matrix(config: &RunConfig, runner: &mut CaseRunner) -> Exper
                                 match s.kind {
                                     "model" => "model",
                                     "graph" => "family",
-                                    "fault" => "fault",
                                     _ => "cell",
                                 },
                                 s.axis.as_str(),
@@ -373,10 +371,6 @@ fn run_cell(
         *combinations += 1;
         if !alg.supports_model(model) {
             tally(skips, "model", alg.name(), model_name(model));
-            continue;
-        }
-        if !clean && !alg.fault_tolerant() {
-            tally(skips, "fault", alg.name(), fault);
             continue;
         }
         // Budget-cut before the graph is even built: a truncated headline
@@ -504,9 +498,6 @@ fn trace_first_cell(config: &RunConfig, queue: &[CellJob], sizes: &[usize]) {
             alg,
         } = *job;
         if !alg.supports_model(model) {
-            continue;
-        }
-        if fault != "none" && !alg.fault_tolerant() {
             continue;
         }
         let graph = family.instance(n, 0xebc0 + n as u64).graph;
@@ -923,9 +914,9 @@ mod tests {
 
     #[test]
     fn fault_axis_crosses_the_matrix_and_balances_skip_accounting() {
-        // No fault pin: the full axis runs. The §8 path adapter opts out
-        // of fault injection, so its active-fault combinations land in
-        // `skipped_fault_intolerant` and the balance still closes.
+        // No fault pin: the full axis runs — the §8 path adapter included,
+        // since it drives its slots through the faulted sim — and the
+        // skip balance closes.
         let out = run_matrix(&RunConfig {
             seeds: Some(1),
             quick: true,
@@ -938,19 +929,22 @@ mod tests {
             faults.insert(format!("{:?}", param(case, "fault").unwrap()));
         }
         assert!(faults.len() >= 4, "fault axis missing: {faults:?}");
+        for fault in MATRIX_FAULTS {
+            assert!(
+                out.cases.iter().any(|c| {
+                    param(c, "algorithm") == Some(&Json::Str("path_theorem21".into()))
+                        && param(c, "fault") == Some(&Json::Str((*fault).into()))
+                }),
+                "path_theorem21 missing on the {fault} axis"
+            );
+        }
         let counts = extra_field(&out, "skip_counts");
-        assert!(int_field(counts, "skipped_fault_intolerant") > 0);
         assert_eq!(
             int_field(counts, "run")
                 + int_field(counts, "skipped_incompatible")
                 + int_field(counts, "skipped_budget"),
             int_field(counts, "total_combinations"),
         );
-        let pairs = extra_field(&out, "skipped_pairs").as_arr().unwrap();
-        assert!(pairs.iter().any(|p| {
-            p.get("kind").and_then(Json::as_str) == Some("fault")
-                && p.get("algorithm").and_then(Json::as_str) == Some("path_theorem21")
-        }));
         let axes = extra_field(&out, "axes");
         assert_eq!(axes.get("faults").unwrap().as_arr().unwrap().len(), 4);
     }

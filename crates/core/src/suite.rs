@@ -22,7 +22,7 @@
 //! assert!(alg.run(&mut sim, 0).all_informed());
 //! ```
 
-use ebc_radio::{EventEngine, Graph, Model, NodeId, Sim};
+use ebc_radio::{Graph, Model, NodeId, Sim};
 
 use crate::baseline::{bgi_decay_broadcast, flood_local};
 use crate::cdfast::{broadcast_theorem20, Theorem20Config};
@@ -37,10 +37,12 @@ use crate::BroadcastOutcome;
 
 /// A broadcast algorithm as a uniform, object-safe strategy.
 ///
-/// Implementations must be deterministic given `sim.seed()` and must meter
-/// all energy through `sim` (adapters that internally delegate to an
-/// [`EventEngine`] fold the sub-run's meter back via
-/// [`Sim::absorb_meter`]).
+/// Implementations must be deterministic given `sim.seed()` and must drive
+/// every slot through `sim` ([`Sim::drive`]), so the meter sees all energy
+/// and an active [`ebc_radio::FaultPlan`] reaches every transmission. Every
+/// registered algorithm runs a bounded, instance-derived number of slots,
+/// so under message loss it degrades to a partial informed set rather
+/// than hanging.
 pub trait BroadcastAlgorithm: Sync {
     /// Stable machine name (also the scenario-matrix JSON key).
     fn name(&self) -> &'static str;
@@ -59,23 +61,6 @@ pub trait BroadcastAlgorithm: Sync {
     /// incompatible pairs instead of crashing on them.
     fn supports_graph(&self, graph: &Graph) -> bool {
         let _ = graph;
-        true
-    }
-
-    /// Whether the adapter's entire slot pipeline flows through
-    /// [`Sim::drive`]'s fault choke point, so an active
-    /// [`ebc_radio::FaultPlan`] on the `sim` actually reaches every
-    /// transmission.
-    ///
-    /// Defaults to `true`: adapters drive all their slots through the
-    /// `Sim` they are handed, and every registered algorithm runs a
-    /// bounded, instance-derived number of slots, so under message loss
-    /// they degrade to a partial informed set rather than hanging.
-    /// Adapters that delegate slots to a sub-engine bypassing the choke
-    /// point (the §8 path algorithm's [`EventEngine`]) override this to
-    /// `false` — running them under an active plan would silently
-    /// simulate a clean channel, which harnesses must skip or flag.
-    fn fault_tolerant(&self) -> bool {
         true
     }
 
@@ -141,8 +126,7 @@ pub fn fault_slot_budget(n: usize, clean_slots: u64) -> u64 {
 /// instead of wedging the harness.
 ///
 /// The registered adapters all run bounded schedules, so the budget
-/// check is reporting, not preemption; callers gate un-instrumentable
-/// adapters with [`BroadcastAlgorithm::fault_tolerant`] first.
+/// check is reporting, not preemption.
 pub fn run_faulty(
     alg: &dyn BroadcastAlgorithm,
     sim: &mut Sim,
@@ -283,29 +267,18 @@ impl BroadcastAlgorithm for PathAlgorithm {
         let n = graph.n();
         n >= 2 && graph.m() == n - 1 && (0..n - 1).all(|v| graph.has_edge(v, v + 1))
     }
-    fn fault_tolerant(&self) -> bool {
-        // The slots run on a private EventEngine, which bypasses the
-        // Sim's fault choke point: an active plan would be silently
-        // ignored, simulating a clean channel under a faulty label.
-        false
-    }
     fn run(&self, sim: &mut Sim, source: NodeId) -> BroadcastOutcome {
-        // The protocol sleeps for long data-dependent stretches, so it runs
-        // on the event-driven engine (over the *same* shared graph — no CSR
-        // copy) and its meter folds back into `sim`.
         sim.span_enter(self.name());
-        let mut engine = EventEngine::new(sim.graph_arc().clone(), sim.model());
-        let stats = run_path_broadcast(&mut engine, source, &PathConfig::default(), sim.seed());
-        sim.absorb_meter(engine.meter());
-        sim.skip(stats.quiescence + 1);
+        let start = sim.now();
+        let stats = run_path_broadcast(sim, source, &PathConfig::default());
         sim.span_exit();
         if sim.telemetry_enabled() {
-            // The engine's slots bypass the sim; surface the delivery curve
-            // it reported as gauges on the global clock instead.
+            // Telemetry events are payload-agnostic; surface the delivery
+            // curve as gauges on the global clock.
             let mut slots: Vec<u64> = stats.delivery_slot.iter().flatten().copied().collect();
             slots.sort_unstable();
             for (rank, s) in slots.iter().enumerate() {
-                sim.record_gauge("informed", *s, (rank + 1) as f64);
+                sim.record_gauge("informed", start + s, (rank + 1) as f64);
             }
         }
         BroadcastOutcome {
@@ -525,20 +498,11 @@ mod tests {
         // every model it supports, on every compatible family at n = 16,
         // must terminate within its slot budget under SlotLoss{p = 0.5}
         // — reporting a (possibly partial) informed set rather than
-        // wedging. Non-instrumentable adapters must say so explicitly
-        // via `fault_tolerant()`.
+        // wedging.
         use ebc_radio::FaultPlan;
         let mut combinations = 0usize;
         let mut successes = 0usize;
         for alg in ALGORITHMS {
-            if !alg.fault_tolerant() {
-                assert_eq!(
-                    alg.name(),
-                    "path_theorem21",
-                    "only the EventEngine-backed path adapter may opt out"
-                );
-                continue;
-            }
             for &model in alg.supported_models() {
                 // Calibrate one budget per (algorithm, model) on the
                 // slowest clean family: under heavy loss an adaptive
@@ -593,13 +557,34 @@ mod tests {
     }
 
     #[test]
-    fn path_adapter_merges_engine_energy_into_sim() {
+    fn path_adapter_meters_its_slots_on_the_sim() {
         let mut sim = Sim::new(path(32), Model::Local, 3);
         let out = PathAlgorithm.run(&mut sim, 0);
         assert!(out.all_informed());
-        assert!(sim.meter().total_energy() > 0, "engine energy not absorbed");
-        assert!(sim.now() > 0, "clock did not advance over the sub-run");
+        assert!(sim.meter().total_energy() > 0, "no energy metered");
+        // The run occupies its whole slot cap (8n + 64, plus slot 0);
+        // activity ends well before it.
+        assert_eq!(sim.now(), 8 * 32 + 65);
         assert!(sim.meter().last_active().unwrap() < sim.now());
+    }
+
+    #[test]
+    fn path_adapter_sees_the_fault_plan() {
+        // Under certain slot loss no transmission is ever delivered, so
+        // the payload never leaves the source — and the run still ends
+        // within the fault slot budget instead of wedging.
+        use ebc_radio::FaultPlan;
+        let alg = by_name("path_theorem21").unwrap();
+        let n = 32;
+        let mut clean = Sim::new(path(n), Model::Local, 5);
+        alg.run(&mut clean, 0);
+        let mut sim = Sim::with_faults(path(n), Model::Local, 5, FaultPlan::SlotLoss { p: 1.0 });
+        let out = run_faulty(alg, &mut sim, 0, fault_slot_budget(n, clean.now()));
+        assert!(!out.success);
+        assert!(!out.timed_out, "{} slots", out.slots);
+        let informed: Vec<NodeId> = (0..n).filter(|&v| out.outcome.informed[v]).collect();
+        assert_eq!(informed, vec![0], "only the source may end informed");
+        assert!(sim.meter().total_lost_sends() > 0);
     }
 
     #[test]

@@ -1,12 +1,7 @@
-//! Packed `u64` bitset words — the struct-of-arrays state of the engine.
+//! Packed `u64` bitset words: one bit per device, 64 devices per word.
 //!
-//! The hot loops keep the per-slot transmitting/listening sets as one bit
-//! per device, 64 devices per word: at n = 10^6 the transmitting set is
-//! 128 KB and stays cache-resident, where a `Vec<u32>` of per-node marks
-//! is 4 MB and thrashes. Collision resolution probes this set once per
-//! CSR neighbor-row entry ([`crate::Graph::neighbor_row`]) with
-//! model-specific early exit, so a listener's cost is `O(deg)` bit tests
-//! against warm words instead of `O(deg)` cold scattered reads.
+//! The fault layer keeps its down-set ([`crate::FaultModel::down`]) in
+//! this form, so membership tests stay cache-resident at n = 10^6.
 
 /// A fixed-capacity set over `0..n`, packed 64 bits per `u64` word.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,9 +58,7 @@ impl BitSet {
     }
 
     /// Removes every member of `other` from this set, word-parallel
-    /// (`self &= !other`). Used by the fault layer to mask crashed and
-    /// churned-out devices out of a slot's transmitting set in
-    /// `O(capacity / 64)` word ops.
+    /// (`self &= !other`), in `O(capacity / 64)` word ops.
     ///
     /// # Panics
     ///

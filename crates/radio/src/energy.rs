@@ -159,35 +159,6 @@ impl EnergyMeter {
         self.last_active = None;
         self.idle_skipped = 0;
     }
-
-    /// Folds `other`'s charges into this meter (device-wise sums, latest
-    /// activity wins). Used when a sub-engine runs part of a simulation —
-    /// e.g. an event-driven phase inside a slot-driven algorithm — and its
-    /// energy must count toward the enclosing run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the meters track different device counts.
-    pub fn merge(&mut self, other: &EnergyMeter) {
-        assert_eq!(
-            self.sends.len(),
-            other.sends.len(),
-            "cannot merge meters over different device counts"
-        );
-        for (a, b) in self.sends.iter_mut().zip(&other.sends) {
-            *a += b;
-        }
-        for (a, b) in self.listens.iter_mut().zip(&other.listens) {
-            *a += b;
-        }
-        for (a, b) in self.lost_sends.iter_mut().zip(&other.lost_sends) {
-            *a += b;
-        }
-        self.idle_skipped += other.idle_skipped;
-        if let Some(t) = other.last_active {
-            self.bump(t);
-        }
-    }
 }
 
 /// Aggregate energy/time statistics for one simulation run.
@@ -306,31 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_charges_and_takes_latest_activity() {
-        let mut a = EnergyMeter::new(3);
-        a.charge_send(0, 5);
-        a.charge_listen(2, 9);
-        let mut b = EnergyMeter::new(3);
-        b.charge_send(0, 2);
-        b.charge_listen(1, 30);
-        a.merge(&b);
-        assert_eq!(a.sends(0), 2);
-        assert_eq!(a.listens(1), 1);
-        assert_eq!(a.listens(2), 1);
-        assert_eq!(a.last_active(), Some(30));
-        // Merging an untouched meter changes nothing.
-        a.merge(&EnergyMeter::new(3));
-        assert_eq!(a.total_energy(), 4);
-        assert_eq!(a.last_active(), Some(30));
-    }
-
-    #[test]
-    #[should_panic(expected = "different device counts")]
-    fn merge_rejects_mismatched_sizes() {
-        EnergyMeter::new(2).merge(&EnergyMeter::new(3));
-    }
-
-    #[test]
     fn reset_clears_everything() {
         let mut m = EnergyMeter::new(2);
         m.charge_send(0, 1);
@@ -365,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn lost_sends_are_counted_merged_and_reset() {
+    fn lost_sends_are_counted_and_reset() {
         let mut m = EnergyMeter::new(3);
         m.charge_send(0, 1);
         m.note_lost_send(0);
@@ -374,27 +320,19 @@ mod tests {
         assert_eq!(m.lost_sends(2), 0);
         assert_eq!(m.total_lost_sends(), 1);
         assert_eq!(m.report().lost_sends, 1);
-        let mut other = EnergyMeter::new(3);
-        other.note_lost_send(2);
-        m.merge(&other);
-        assert_eq!(m.total_lost_sends(), 2);
         m.reset();
         assert_eq!(m.total_lost_sends(), 0);
     }
 
     #[test]
-    fn idle_skips_are_counted_merged_and_reset() {
+    fn idle_skips_are_counted_and_reset() {
         let mut m = EnergyMeter::new(2);
         m.note_skip(100);
         m.note_skip(23);
         assert_eq!(m.idle_skipped(), 123);
         assert_eq!(m.total_energy(), 0, "idling is free");
         assert_eq!(m.last_active(), None, "skips are not activity");
-        let mut other = EnergyMeter::new(2);
-        other.note_skip(7);
-        m.merge(&other);
-        assert_eq!(m.idle_skipped(), 130);
-        assert_eq!(m.report().idle_skipped, 130);
+        assert_eq!(m.report().idle_skipped, 123);
         m.reset();
         assert_eq!(m.idle_skipped(), 0);
     }
@@ -431,7 +369,7 @@ mod tests {
 
     #[test]
     fn charge_after_skip_counts_skipped_slots_in_time() {
-        use crate::{from_fns, Action, Graph, Model, Sim};
+        use crate::{from_fns, Action, Graph, Model, Schedule, Sim};
         let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
         let mut sim = Sim::new(g, Model::NoCd, 1);
         sim.skip(50);
@@ -445,7 +383,13 @@ mod tests {
             },
             |_v, _t, _fb| {},
         );
-        sim.run(&[0, 1], 1, &mut b);
+        sim.drive(
+            Schedule::Dense {
+                participants: &[0, 1],
+                slots: 1,
+            },
+            &mut b,
+        );
         let r = sim.meter().report();
         assert_eq!(r.total, 2);
         // Time counts through the skipped region up to the active slot.

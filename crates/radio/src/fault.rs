@@ -164,12 +164,11 @@ pub trait FaultModel: core::fmt::Debug {
     /// Whether device `v` is currently down (crashed or churned out).
     fn is_down(&self, v: NodeId) -> bool;
 
-    /// The packed down-set, one bit per device — the engine masks the
-    /// slot's transmitting set against it word-parallel.
+    /// The packed down-set, one bit per device.
     fn down(&self) -> &BitSet;
 
     /// Whether any device is currently down (fast-path gate for the
-    /// per-participant and word-parallel masking).
+    /// per-participant masking and the no-down-sender check).
     fn any_down(&self) -> bool;
 
     /// The channel verdict for `slot`. Called at most once per simulated
@@ -180,7 +179,7 @@ pub trait FaultModel: core::fmt::Debug {
     fn verdict(&mut self, slot: Slot, any_tx: bool) -> SlotVerdict;
 
     /// Whether deliveries must be filtered per (listener, sender) edge.
-    /// When `false` the engine keeps the word-parallel row probe.
+    /// When `false` the engine keeps the CSR row probe.
     fn filters_edges(&self) -> bool;
 
     /// Whether the directed delivery `sender → listener` survives

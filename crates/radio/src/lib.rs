@@ -17,20 +17,17 @@
 //! * [`Model::Beep`] — content-free: a listener only learns whether at least
 //!   one neighbor transmitted.
 //!
-//! Two execution engines are provided:
-//!
-//! * [`Sim`] — the *phase-composed* engine. Algorithms in the paper are
-//!   built from primitives occupying a contiguous block of slots with a
-//!   known participant set; [`Sim::drive`] executes such a block under a
-//!   [`Schedule`] (dense range, CSR-backed [`SparseSchedule`] slots, or a
-//!   dynamic wake-queue fed by [`SlotBehavior`] hints), charging energy
-//!   only for scheduled participants, while [`Sim::skip`] advances the
-//!   global clock over provably-idle regions so reported *time* still
-//!   counts them. Collision resolution is word-parallel: the transmitting
-//!   set is a packed [`BitSet`] probed per CSR neighbor-row entry.
-//! * [`EventEngine`] — an event-driven engine with a wake queue, for
-//!   protocols whose wake times are data-dependent (the paper's §8 path
-//!   algorithm). Nodes implement [`Protocol`].
+//! One execution engine, [`Sim`], runs every algorithm. Algorithms in the
+//! paper are built from primitives occupying a contiguous block of slots
+//! with a known participant set; [`Sim::drive`] executes such a block
+//! under a [`Schedule`] — a dense range, CSR-backed [`SparseSchedule`]
+//! slots, or a dynamic wake queue fed by [`SlotBehavior`] hints for
+//! protocols whose wake times are data-dependent (the paper's §8 path
+//! algorithm) — charging energy only for polled participants, while
+//! [`Sim::skip`] advances the global clock over provably-idle regions so
+//! reported *time* still counts them. Collision resolution scans each
+//! listener's CSR neighbor row against the slot's sender index, with
+//! model-specific early exit.
 //!
 //! # Example
 //!
@@ -61,25 +58,20 @@
 
 mod bitset;
 mod energy;
-mod engine;
 pub mod fault;
 mod graph;
 mod model;
 pub mod rng;
 mod sim;
 pub mod telemetry;
-mod trace;
 
 pub use bitset::BitSet;
 pub use energy::{EnergyMeter, EnergyReport};
-pub use engine::{EventEngine, NextWake, Protocol, RunOutcome};
 pub use fault::{FaultModel, FaultPlan, FaultState, JammerStrategy, SlotVerdict};
 pub use graph::{Graph, GraphError};
 pub use model::{resolve, Action, Feedback, Model};
 pub use sim::{from_fns, Schedule, Sim, SlotBehavior, SparseSchedule};
 pub use telemetry::{EventKind, Gauge, SlotCounters, SlotEvent, Span, Telemetry};
-#[doc(hidden)]
-pub use trace::{Trace, TraceEvent, TraceKind};
 
 /// Index of a device (vertex) in the network, in `0..n`.
 pub type NodeId = usize;

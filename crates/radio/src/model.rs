@@ -1,6 +1,5 @@
 //! Collision models and channel resolution.
 
-use crate::bitset::BitSet;
 use crate::NodeId;
 
 /// The collision-detection model governing what listeners hear (paper §1).
@@ -167,32 +166,27 @@ pub fn resolve<M: Clone>(model: Model, senders: impl Iterator<Item = (NodeId, M)
     }
 }
 
-/// Resolves one listener's feedback against the packed transmitting set.
+/// Resolves one listener's feedback against the slot's sender index.
 ///
-/// `row` is the listener's sorted CSR neighbor row; `tx` marks the slot's
-/// transmitting devices; `sending[u]` is the 1-based index of `u` in
-/// `senders` (0 when not transmitting). The listener hears a message iff
-/// exactly one neighbor bit is set in `tx`; the 0/1/many count maps to
-/// model feedback exactly as [`resolve`] does, but the scan early-exits
-/// per model: CD\* and Beep stop at the first set bit (sorted rows make it
-/// the lowest-id sender), No-CD and CD at the second, and only LOCAL walks
-/// the full row to collect every message. Messages are cloned only on
-/// actual delivery.
+/// `row` is the listener's sorted CSR neighbor row; `sending[u]` is the
+/// 1-based index of `u` in `senders` (0 when not transmitting). The
+/// listener hears a message iff exactly one neighbor is transmitting; the
+/// 0/1/many count maps to model feedback exactly as [`resolve`] does, but
+/// the scan early-exits per model: CD\* and Beep stop at the first
+/// transmitter (sorted rows make it the lowest-id sender), No-CD and CD at
+/// the second, and only LOCAL walks the full row to collect every
+/// message. Messages are cloned only on actual delivery.
 pub(crate) fn resolve_row<M: Clone>(
     model: Model,
     row: &[u32],
-    tx: &BitSet,
     sending: &[u32],
     senders: &[(NodeId, M)],
 ) -> Feedback<M> {
+    let tx = |u: u32| sending[u as usize] != 0;
     let msg = |u: u32| senders[sending[u as usize] as usize - 1].1.clone();
     match model {
         Model::Local => {
-            let msgs: Vec<M> = row
-                .iter()
-                .filter(|&&u| tx.contains(u as usize))
-                .map(|&u| msg(u))
-                .collect();
+            let msgs: Vec<M> = row.iter().filter(|&&u| tx(u)).map(|&u| msg(u)).collect();
             if msgs.is_empty() {
                 Feedback::Silence
             } else {
@@ -200,13 +194,13 @@ pub(crate) fn resolve_row<M: Clone>(
             }
         }
         Model::Beep => {
-            if row.iter().any(|&u| tx.contains(u as usize)) {
+            if row.iter().any(|&u| tx(u)) {
                 Feedback::Beep
             } else {
                 Feedback::Silence
             }
         }
-        Model::CdStar => match row.iter().find(|&&u| tx.contains(u as usize)) {
+        Model::CdStar => match row.iter().find(|&&u| tx(u)) {
             // Rows are sorted, so the first transmitting neighbor found is
             // the lowest-id one — CD*'s pick whether it is alone or not.
             Some(&u) => Feedback::One(msg(u)),
@@ -215,7 +209,7 @@ pub(crate) fn resolve_row<M: Clone>(
         Model::NoCd | Model::Cd => {
             let mut first: Option<u32> = None;
             for &u in row {
-                if tx.contains(u as usize) {
+                if tx(u) {
                     if first.is_some() {
                         return match model {
                             Model::NoCd => Feedback::Silence,
@@ -330,7 +324,6 @@ mod tests {
         // the iterator-based reference resolver exactly.
         let row: Vec<u32> = vec![1, 2, 4, 7];
         for mask in 0u32..16 {
-            let mut tx = BitSet::new(8);
             let mut sending = vec![0u32; 8];
             let senders: Vec<(NodeId, u32)> = row
                 .iter()
@@ -340,10 +333,9 @@ mod tests {
                 .collect();
             for (i, &(v, _)) in senders.iter().enumerate() {
                 sending[v] = i as u32 + 1;
-                tx.insert(v);
             }
             for model in Model::ALL {
-                let via_row = resolve_row(model, &row, &tx, &sending, &senders);
+                let via_row = resolve_row(model, &row, &sending, &senders);
                 let via_iter = resolve(model, senders.iter().cloned());
                 assert_eq!(via_row, via_iter, "{model} mask {mask}");
             }

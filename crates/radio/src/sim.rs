@@ -3,11 +3,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::bitset::BitSet;
 use crate::fault::{jam_feedback, FaultModel, FaultPlan, FaultState, SlotVerdict, FAULT_STREAM};
 use crate::model::{resolve, resolve_row, Action, Feedback, Model};
 use crate::telemetry::Telemetry;
-use crate::trace::Trace;
 use crate::{EnergyMeter, Graph, NodeId, Slot};
 
 /// Per-slot behavior of the devices taking part in one primitive.
@@ -115,8 +113,7 @@ impl SparseSchedule {
         if let Some(&last) = self.slots.last() {
             assert!(
                 slot > last,
-                "schedule slots must be strictly increasing (slot {slot} after {})",
-                last + 1
+                "schedule slots must be strictly increasing (slot {slot} after {last})"
             );
         }
         self.slots.push(slot);
@@ -325,11 +322,9 @@ pub struct Sim {
     /// runs are bit-identical to the pre-telemetry engine.
     telemetry: Option<Box<Telemetry>>,
     seed: u64,
-    /// Scratch: per-node index+1 into the current slot's sender list.
+    /// Scratch: per-node index+1 into the current slot's sender list
+    /// (0 = not transmitting) — the state collision resolution probes.
     sending: Vec<u32>,
-    /// Scratch: the packed transmitting set of the current slot — the
-    /// word-parallel state listeners probe during collision resolution.
-    tx: BitSet,
     /// The realized fault plan, if any. [`FaultPlan::None`] is stored as
     /// `None` here, so clean runs never touch the fault layer at all and
     /// stay bit-identical to the pre-fault engine.
@@ -353,7 +348,6 @@ impl Sim {
             telemetry: None,
             seed,
             sending: vec![0; n],
-            tx: BitSet::new(n),
             faults: None,
         }
     }
@@ -394,7 +388,7 @@ impl Sim {
     }
 
     /// The shared handle to the underlying graph (cheap to clone; useful
-    /// for spawning sub-engines over the same topology).
+    /// for building further simulations over the same topology).
     pub fn graph_arc(&self) -> &Arc<Graph> {
         &self.graph
     }
@@ -439,19 +433,6 @@ impl Sim {
     pub fn skip(&mut self, slots: u64) {
         self.clock += slots;
         self.meter.note_skip(slots);
-    }
-
-    /// Folds a sub-engine's [`EnergyMeter`] into this simulation's meter —
-    /// for algorithms that delegate a phase to an [`crate::EventEngine`]
-    /// over the same graph. The caller advances the clock with [`skip`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the meters track different device counts.
-    ///
-    /// [`skip`]: Sim::skip
-    pub fn absorb_meter(&mut self, other: &EnergyMeter) {
-        self.meter.merge(other);
     }
 
     /// Starts recording structured [`Telemetry`] (slot events, per-slot
@@ -525,31 +506,14 @@ impl Sim {
         }
     }
 
-    /// Compatibility shim for the retired string-based trace: enables
-    /// telemetry. Ported callers use [`Sim::enable_telemetry`].
-    #[doc(hidden)]
-    #[deprecated(note = "use enable_telemetry(); the string-based trace is retired")]
-    pub fn enable_trace(&mut self) {
-        self.enable_telemetry();
-    }
-
-    /// Compatibility shim: reconstructs a [`Trace`] view from the
-    /// telemetry events. Message payloads are no longer stringified, so
-    /// `Send`/`Recv` records carry empty payload strings.
-    #[doc(hidden)]
-    #[deprecated(note = "use telemetry(); the string-based trace is retired")]
-    pub fn trace(&self) -> Option<Trace> {
-        self.telemetry.as_deref().map(Trace::from_telemetry)
-    }
-
     /// Runs one primitive under `schedule` — the single driving core every
     /// schedule shape goes through.
     ///
     /// The clock advances over exactly the schedule's `slots` slots;
     /// unscheduled stretches are batch-skipped via [`Sim::skip`] without
-    /// polling any behavior. Collision resolution probes the packed
-    /// transmitting set per CSR neighbor-row entry with model-specific
-    /// early exit (see [`crate::BitSet`]).
+    /// polling any behavior. Collision resolution scans each listener's
+    /// CSR neighbor row against the slot's sender index, with
+    /// model-specific early exit.
     ///
     /// # Panics
     ///
@@ -570,14 +534,7 @@ impl Sim {
             } => {
                 self.debug_check_distinct(participants);
                 for t in 0..slots {
-                    self.step_slot(
-                        participants,
-                        t,
-                        behavior,
-                        &mut senders,
-                        &mut listeners,
-                        false,
-                    );
+                    self.step_slot(participants, t, behavior, &mut senders, &mut listeners);
                 }
             }
             Schedule::Sparse { schedule, slots } => {
@@ -586,14 +543,7 @@ impl Sim {
                     assert!(t < slots, "scheduled slot {t} outside 0..{slots}");
                     self.debug_check_distinct(participants);
                     self.skip(t - next);
-                    self.step_slot(
-                        participants,
-                        t,
-                        behavior,
-                        &mut senders,
-                        &mut listeners,
-                        false,
-                    );
+                    self.step_slot(participants, t, behavior, &mut senders, &mut listeners);
                     next = t + 1;
                 }
                 self.skip(slots - next);
@@ -620,7 +570,7 @@ impl Sim {
                     // loop over a sorted participant list would use.
                     batch.sort_unstable();
                     self.skip(t - next);
-                    self.step_slot(&batch, t, behavior, &mut senders, &mut listeners, false);
+                    self.step_slot(&batch, t, behavior, &mut senders, &mut listeners);
                     next = t + 1;
                     for &v in &batch {
                         if let Some(t2) = behavior.next_wake(v, t) {
@@ -634,100 +584,6 @@ impl Sim {
                 }
                 self.skip(slots - next);
             }
-        }
-    }
-
-    /// Compatibility shim: `slots` dense slots in which exactly
-    /// `participants` may act — a thin wrapper over [`Sim::drive`] with
-    /// [`Schedule::Dense`].
-    ///
-    /// Every production call site has been ported to `drive`; this
-    /// wrapper is retained only for the test suites' one-liners and is
-    /// hidden from the documented API. Do not add new callers.
-    ///
-    /// `participants` must not contain duplicates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a participant id is out of range.
-    #[doc(hidden)]
-    pub fn run<M, B>(&mut self, participants: &[NodeId], slots: u64, behavior: &mut B)
-    where
-        M: Clone + core::fmt::Debug,
-        B: SlotBehavior<M>,
-    {
-        self.drive(
-            Schedule::Dense {
-                participants,
-                slots,
-            },
-            behavior,
-        )
-    }
-
-    /// Compatibility shim: `slots` slots under a sparse public schedule
-    /// given as `(slot, participants)` pairs — copies the per-slot
-    /// `Vec`s into a [`SparseSchedule`] and calls [`Sim::drive`].
-    ///
-    /// Every production call site builds the `SparseSchedule` directly
-    /// (one flat allocation, rows borrowed as slices) and drives
-    /// [`Schedule::Sparse`]; this wrapper is retained only for the test
-    /// suites and is hidden from the documented API. Do not add new
-    /// callers.
-    ///
-    /// Scheduled slots must be strictly increasing and `< slots`; a
-    /// device listed in a slot may still act [`Action::Idle`] there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule is unsorted, exceeds `slots`, or lists a
-    /// duplicate participant within one slot.
-    #[doc(hidden)]
-    pub fn run_scheduled<M, B>(
-        &mut self,
-        schedule: &[(u64, Vec<NodeId>)],
-        slots: u64,
-        behavior: &mut B,
-    ) where
-        M: Clone + core::fmt::Debug,
-        B: SlotBehavior<M>,
-    {
-        let mut sparse = SparseSchedule::new();
-        for (t, participants) in schedule {
-            sparse.push(*t, participants.iter().copied());
-        }
-        self.drive(
-            Schedule::Sparse {
-                schedule: &sparse,
-                slots,
-            },
-            behavior,
-        )
-    }
-
-    /// The retained dense reference loop: semantically identical to
-    /// driving [`Schedule::Dense`], but resolving every listener through
-    /// the original iterator-based neighbor scan instead of the packed
-    /// transmitting-set probe. Kept as the oracle for the dense-vs-bitset
-    /// differential suite and as the `dense` side of the slots-per-second
-    /// benchmark; production call sites should use [`Sim::drive`].
-    pub fn run_reference<M, B>(&mut self, participants: &[NodeId], slots: u64, behavior: &mut B)
-    where
-        M: Clone + core::fmt::Debug,
-        B: SlotBehavior<M>,
-    {
-        self.debug_check_distinct(participants);
-        let mut senders: Vec<(NodeId, M)> = Vec::new();
-        let mut listeners: Vec<NodeId> = Vec::new();
-        for t in 0..slots {
-            self.step_slot(
-                participants,
-                t,
-                behavior,
-                &mut senders,
-                &mut listeners,
-                true,
-            );
         }
     }
 
@@ -749,8 +605,7 @@ impl Sim {
 
     /// Simulates one slot (local slot number `t`) for `participants`,
     /// advancing the clock by one. `senders`/`listeners` are caller-owned
-    /// scratch so multi-slot drivers reuse the allocations. `reference`
-    /// selects the iterator-based resolver ([`Sim::run_reference`]).
+    /// scratch so multi-slot drivers reuse the allocations.
     fn step_slot<M, B>(
         &mut self,
         participants: &[NodeId],
@@ -758,7 +613,6 @@ impl Sim {
         behavior: &mut B,
         senders: &mut Vec<(NodeId, M)>,
         listeners: &mut Vec<NodeId>,
-        reference: bool,
     ) where
         M: Clone + core::fmt::Debug,
         B: SlotBehavior<M>,
@@ -814,17 +668,17 @@ impl Sim {
         }
         for (i, (v, _)) in senders.iter().enumerate() {
             self.sending[*v] = i as u32 + 1;
-            self.tx.insert(*v);
         }
         // The fault choke point: every transmission in every schedule
         // shape passes through here before collision resolution.
         let mut verdict = SlotVerdict::Clean;
         if let Some(f) = &mut self.faults {
             if f.any_down() {
-                // Word-parallel enforcement that no down device transmits.
-                // The poll loop above already masks them, so this is a
-                // (cheap) invariant, not a second decision point.
-                self.tx.and_not(f.down());
+                // The poll loop above masks down devices, so this is an
+                // invariant check, not a second decision point.
+                for (v, _) in senders.iter() {
+                    assert!(!f.is_down(*v), "down device {v} transmitted");
+                }
             }
             // Unobserved slots never draw a verdict: jamming budget is
             // only spent on slots some listener actually hears, which
@@ -851,7 +705,6 @@ impl Sim {
                 // every model.
                 for (v, _) in senders.iter() {
                     self.sending[*v] = 0;
-                    self.tx.remove(*v);
                 }
             }
         }
@@ -860,8 +713,8 @@ impl Sim {
                 jam_feedback(self.model)
             } else if let Some(f) = self.faults.as_ref().filter(|f| f.filters_edges()) {
                 // Edge loss needs a per-(listener, sender) decision, so
-                // this plan drops from the word-parallel row probe to the
-                // filtered iterator scan.
+                // this plan drops from the row probe to the filtered
+                // iterator scan.
                 resolve(
                     self.model,
                     self.graph.neighbors(v).filter_map(|u| {
@@ -870,19 +723,10 @@ impl Sim {
                             .then(|| (u, senders[idx as usize - 1].1.clone()))
                     }),
                 )
-            } else if reference {
-                resolve(
-                    self.model,
-                    self.graph.neighbors(v).filter_map(|u| {
-                        let idx = self.sending[u];
-                        (idx != 0).then(|| (u, senders[idx as usize - 1].1.clone()))
-                    }),
-                )
             } else {
                 resolve_row(
                     self.model,
                     self.graph.neighbor_row(v),
-                    &self.tx,
                     &self.sending,
                     senders,
                 )
@@ -902,7 +746,6 @@ impl Sim {
         }
         for (v, _) in senders.iter() {
             self.sending[*v] = 0;
-            self.tx.remove(*v);
         }
         if let Some(tel) = &mut self.telemetry {
             tel.end_slot();
@@ -922,6 +765,30 @@ mod tests {
         Graph::from_edges(leaves + 1, &edges).unwrap()
     }
 
+    /// Drives `slots` dense slots in which exactly `participants` act.
+    fn drive_dense<M, B>(sim: &mut Sim, participants: &[NodeId], slots: u64, b: &mut B)
+    where
+        M: Clone + core::fmt::Debug,
+        B: SlotBehavior<M>,
+    {
+        sim.drive(
+            Schedule::Dense {
+                participants,
+                slots,
+            },
+            b,
+        );
+    }
+
+    /// A sparse schedule from `(slot, participants)` pairs.
+    fn sparse_of(rows: &[(Slot, &[NodeId])]) -> SparseSchedule {
+        let mut sched = SparseSchedule::new();
+        for &(t, row) in rows {
+            sched.push(t, row.iter().copied());
+        }
+        sched
+    }
+
     #[test]
     fn collision_heard_as_silence_in_nocd() {
         let mut sim = Sim::new(star(2), Model::NoCd, 0);
@@ -936,7 +803,7 @@ mod tests {
             },
             |_, _, fb| got = Some(fb),
         );
-        sim.run(&[0, 1, 2], 1, &mut b);
+        drive_dense(&mut sim, &[0, 1, 2], 1, &mut b);
         drop(b);
         assert_eq!(got, Some(Feedback::Silence));
     }
@@ -955,7 +822,7 @@ mod tests {
             },
             |_, _, fb| got = Some(fb),
         );
-        sim.run(&[0, 1, 2], 1, &mut b);
+        drive_dense(&mut sim, &[0, 1, 2], 1, &mut b);
         drop(b);
         assert_eq!(got, Some(Feedback::Noise));
     }
@@ -964,7 +831,7 @@ mod tests {
     fn non_participants_stay_idle_and_free() {
         let mut sim = Sim::new(star(3), Model::NoCd, 0);
         let mut b = from_fns(|_, _| Action::Send(1u8), |_, _, _| panic!("nobody listens"));
-        sim.run(&[1], 4, &mut b);
+        drive_dense(&mut sim, &[1], 4, &mut b);
         assert_eq!(sim.meter().energy(1), 4);
         assert_eq!(sim.meter().energy(0), 0);
         assert_eq!(sim.meter().energy(2), 0);
@@ -977,7 +844,7 @@ mod tests {
         assert_eq!(sim.now(), 100);
         assert_eq!(sim.meter().total_energy(), 0);
         let mut b = from_fns(|_, _| Action::Send(0u8), |_, _, _| {});
-        sim.run(&[0], 1, &mut b);
+        drive_dense(&mut sim, &[0], 1, &mut b);
         assert_eq!(sim.meter().last_active(), Some(100));
     }
 
@@ -999,7 +866,7 @@ mod tests {
             },
             |_, _, fb| got = Some(fb),
         );
-        sim.run(&[0, 1], 1, &mut b);
+        drive_dense(&mut sim, &[0, 1], 1, &mut b);
         drop(b);
         // Node 0's own transmission must not reach its own listener.
         assert_eq!(got, Some(Feedback::Silence));
@@ -1021,7 +888,7 @@ mod tests {
             },
             |v, _, fb| got.push((v, fb)),
         );
-        sim.run(&[0, 1], 1, &mut b);
+        drive_dense(&mut sim, &[0, 1], 1, &mut b);
         drop(b);
         got.sort_by_key(|(v, _)| *v);
         assert_eq!(got, vec![(0, Feedback::One("b")), (1, Feedback::One("a"))]);
@@ -1041,7 +908,7 @@ mod tests {
             },
             |_, _, fb| got = Some(fb),
         );
-        sim.run(&[0, 1, 2, 3], 1, &mut b);
+        drive_dense(&mut sim, &[0, 1, 2, 3], 1, &mut b);
         drop(b);
         assert_eq!(got, Some(Feedback::Many(vec![1, 2, 3])));
     }
@@ -1062,7 +929,7 @@ mod tests {
             },
             |_, _, _| {},
         );
-        sim.run(&[0, 1], 1, &mut b);
+        drive_dense(&mut sim, &[0, 1], 1, &mut b);
         let tel = sim.telemetry().unwrap();
         let events: Vec<_> = tel.events().collect();
         assert_eq!(events.len(), 2);
@@ -1075,33 +942,6 @@ mod tests {
         let owned = sim.take_telemetry().unwrap();
         assert_eq!(owned.event_count(), 2);
         assert!(!sim.telemetry_enabled());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_trace_shim_still_reports_event_kinds() {
-        use crate::trace::TraceKind;
-        let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
-        let mut sim = Sim::new(g, Model::NoCd, 0);
-        sim.enable_trace();
-        let mut b = from_fns(
-            |v, _| {
-                if v == 0 {
-                    Action::Send(9u8)
-                } else {
-                    Action::Listen
-                }
-            },
-            |_, _, _| {},
-        );
-        sim.run(&[0, 1], 1, &mut b);
-        // Payload strings are no longer recorded; kinds and order survive.
-        let tr = sim.trace().unwrap();
-        assert_eq!(tr.events().len(), 2);
-        assert_eq!(tr.events()[0].kind, TraceKind::Send(String::new()));
-        assert_eq!(tr.events()[1].kind, TraceKind::Recv(String::new()));
-        assert_eq!(tr.events()[0].node, 0);
-        assert_eq!(tr.events()[1].node, 1);
     }
 
     #[test]
@@ -1231,7 +1071,7 @@ mod tests {
         sim.span_enter("phase");
         sim.skip(10);
         let mut b = from_fns(|_, _| Action::Send(0u8), |_, _, _| {});
-        sim.run(&[0], 2, &mut b);
+        drive_dense(&mut sim, &[0], 2, &mut b);
         sim.span_exit();
         sim.span_at("retro", 3, 7);
         sim.record_gauge("informed", 12, 2.0);
@@ -1254,7 +1094,7 @@ mod tests {
     }
 
     #[test]
-    fn run_scheduled_matches_dense_run() {
+    fn sparse_schedule_matches_dense_run() {
         // The same star broadcast driven densely and sparsely must produce
         // identical feedback, energy, and clock.
         let dense = |sim: &mut Sim| {
@@ -1271,7 +1111,7 @@ mod tests {
                 },
                 |v, _, fb| got.push((v, fb)),
             );
-            sim.run(&[0, 1, 2], 10, &mut b);
+            drive_dense(sim, &[0, 1, 2], 10, &mut b);
             drop(b);
             got
         };
@@ -1288,7 +1128,14 @@ mod tests {
                 },
                 |v, _, fb| got.push((v, fb)),
             );
-            sim.run_scheduled(&[(3, vec![0, 1, 2])], 10, &mut b);
+            let sched = sparse_of(&[(3, &[0, 1, 2])]);
+            sim.drive(
+                Schedule::Sparse {
+                    schedule: &sched,
+                    slots: 10,
+                },
+                &mut b,
+            );
             drop(b);
             got
         };
@@ -1305,12 +1152,12 @@ mod tests {
     }
 
     #[test]
-    fn run_scheduled_is_equivalent_to_the_dense_loop_on_a_relay_chain() {
+    fn sparse_schedule_is_equivalent_to_the_dense_loop_on_a_relay_chain() {
         // A multi-hop relay on the path 0–1–…–5: node v transmits in slot
         // 3v once informed, node v+1 listens there; every other slot is
-        // provably idle. Driven (a) slot-by-slot through `Sim::run` with
-        // an explicitly idle behavior off-schedule and (b) sparsely
-        // through `run_scheduled`, the two runs must agree on the final
+        // provably idle. Driven (a) slot-by-slot through a dense schedule
+        // with an explicitly idle behavior off-schedule and (b) through a
+        // sparse schedule, the two runs must agree on the final
         // informed set, every per-node energy, the total, the clock, and
         // the last active slot — with the whole difference showing up in
         // `idle_skipped` accounting.
@@ -1350,14 +1197,23 @@ mod tests {
         let mut dense_sim = Sim::new(path(), Model::NoCd, 0);
         let mut dense = fresh();
         let all: Vec<NodeId> = (0..N).collect();
-        dense_sim.run(&all, SLOTS, &mut dense);
+        drive_dense(&mut dense_sim, &all, SLOTS, &mut dense);
 
         let mut sparse_sim = Sim::new(path(), Model::NoCd, 0);
         let mut sparse = fresh();
-        let schedule: Vec<(u64, Vec<NodeId>)> = (0..SLOTS)
-            .filter_map(|t| Relay::roles(t).map(|(s, l)| (t, vec![s, l])))
-            .collect();
-        sparse_sim.run_scheduled(&schedule, SLOTS, &mut sparse);
+        let mut schedule = SparseSchedule::new();
+        for t in 0..SLOTS {
+            if let Some((s, l)) = Relay::roles(t) {
+                schedule.push(t, [s, l]);
+            }
+        }
+        sparse_sim.drive(
+            Schedule::Sparse {
+                schedule: &schedule,
+                slots: SLOTS,
+            },
+            &mut sparse,
+        );
 
         // The relay reached the far end both ways.
         assert_eq!(dense.informed, vec![true; N]);
@@ -1556,6 +1412,79 @@ mod tests {
     }
 
     #[test]
+    fn dynamic_devices_without_a_wake_cost_nothing() {
+        // Only device 0 ever wakes (once, at slot 5): the sleeping devices
+        // are never polled and pay nothing, and every other slot of the
+        // primitive is batch-skipped.
+        struct OnlyZero {
+            polls: Vec<(NodeId, u64)>,
+        }
+        impl SlotBehavior<u8> for OnlyZero {
+            fn act(&mut self, v: NodeId, t: u64) -> Action<u8> {
+                self.polls.push((v, t));
+                Action::Send(1)
+            }
+            fn feedback(&mut self, _v: NodeId, _t: u64, _fb: Feedback<u8>) {}
+            fn first_wake(&mut self, v: NodeId) -> Option<u64> {
+                (v == 0).then_some(5)
+            }
+            fn next_wake(&mut self, _v: NodeId, _t: u64) -> Option<u64> {
+                None
+            }
+        }
+        let mut sim = Sim::new(star(2), Model::Cd, 0);
+        let mut b = OnlyZero { polls: Vec::new() };
+        sim.drive(
+            Schedule::Dynamic {
+                participants: &[0, 1, 2],
+                slots: 100,
+            },
+            &mut b,
+        );
+        assert_eq!(b.polls, vec![(0, 5)]);
+        assert_eq!(sim.meter().energy(0), 1);
+        assert_eq!(sim.meter().energy(1), 0);
+        assert_eq!(sim.meter().energy(2), 0);
+        assert_eq!(sim.now(), 100);
+        assert_eq!(sim.meter().idle_skipped(), 99);
+    }
+
+    #[test]
+    fn dynamic_drops_wakes_at_or_past_the_slot_cap() {
+        // Device 0 asks for slots 0, 4, 8, …; device 1 first asks for a
+        // slot past the cap. With `slots: 10` only the wakes below 10 are
+        // polled, and the clock still ends at the cap.
+        struct Every4 {
+            polls: Vec<(NodeId, u64)>,
+        }
+        impl SlotBehavior<u8> for Every4 {
+            fn act(&mut self, v: NodeId, t: u64) -> Action<u8> {
+                self.polls.push((v, t));
+                Action::Listen
+            }
+            fn feedback(&mut self, _v: NodeId, _t: u64, _fb: Feedback<u8>) {}
+            fn first_wake(&mut self, v: NodeId) -> Option<u64> {
+                Some(if v == 0 { 0 } else { 10 })
+            }
+            fn next_wake(&mut self, _v: NodeId, t: u64) -> Option<u64> {
+                Some(t + 4)
+            }
+        }
+        let mut sim = Sim::new(star(1), Model::Cd, 0);
+        let mut b = Every4 { polls: Vec::new() };
+        sim.drive(
+            Schedule::Dynamic {
+                participants: &[0, 1],
+                slots: 10,
+            },
+            &mut b,
+        );
+        assert_eq!(b.polls, vec![(0, 0), (0, 4), (0, 8)]);
+        assert_eq!(sim.meter().energy(1), 0);
+        assert_eq!(sim.now(), 10);
+    }
+
+    #[test]
     fn sparse_schedule_is_reusable_across_primitives() {
         // One SparseSchedule built once, driven twice: the second primitive
         // sees fresh 0-based local slots and the clock keeps advancing.
@@ -1599,38 +1528,17 @@ mod tests {
     }
 
     #[test]
-    fn run_reference_matches_bitset_drive() {
-        // The retained iterator-based oracle and the bitset path must agree
-        // exactly on a broadcast with collisions.
-        let run_with = |reference: bool| {
-            let mut sim = Sim::new(star(3), Model::NoCd, 0);
-            let mut got = Vec::new();
-            let mut b = from_fns(
-                |v, t| match (v, t) {
-                    (0, _) => Action::Listen,
-                    (v, t) if v as u64 % 2 == t % 2 => Action::Send(v as u8),
-                    _ => Action::Idle,
-                },
-                |v, t, fb| got.push((v, t, fb)),
-            );
-            let all: Vec<NodeId> = (0..4).collect();
-            if reference {
-                sim.run_reference(&all, 4, &mut b);
-            } else {
-                sim.run(&all, 4, &mut b);
-            }
-            drop(b);
-            let energy: Vec<u64> = (0..4).map(|v| sim.meter().energy(v)).collect();
-            (got, energy, sim.now(), sim.meter().last_active())
-        };
-        assert_eq!(run_with(true), run_with(false));
-    }
-
-    #[test]
-    fn run_scheduled_batches_trailing_and_leading_gaps() {
+    fn sparse_schedule_batches_trailing_and_leading_gaps() {
         let mut sim = Sim::new(star(1), Model::Cd, 0);
         let mut b = from_fns(|_, _| Action::Send(1u8), |_, _, _| {});
-        sim.run_scheduled(&[(100, vec![0]), (200, vec![1])], 1_000_000, &mut b);
+        let sched = sparse_of(&[(100, &[0]), (200, &[1])]);
+        sim.drive(
+            Schedule::Sparse {
+                schedule: &sched,
+                slots: 1_000_000,
+            },
+            &mut b,
+        );
         assert_eq!(sim.now(), 1_000_000);
         assert_eq!(sim.meter().last_active(), Some(200));
         assert_eq!(sim.meter().total_energy(), 2);
@@ -1639,18 +1547,29 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "strictly increasing")]
-    fn run_scheduled_rejects_unsorted_schedules() {
-        let mut sim = Sim::new(star(1), Model::Cd, 0);
-        let mut b = from_fns(|_, _| Action::<u8>::Idle, |_, _, _| {});
-        sim.run_scheduled(&[(5, vec![0]), (5, vec![1])], 10, &mut b);
+    fn sparse_schedule_rejects_unsorted_slots() {
+        sparse_of(&[(5, &[0]), (5, &[1])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 3 after 5")]
+    fn sparse_schedule_reports_the_previous_slot_when_out_of_order() {
+        sparse_of(&[(5, &[0]), (3, &[1])]);
     }
 
     #[test]
     #[should_panic(expected = "outside")]
-    fn run_scheduled_rejects_out_of_range_slots() {
+    fn sparse_schedule_rejects_out_of_range_slots() {
         let mut sim = Sim::new(star(1), Model::Cd, 0);
         let mut b = from_fns(|_, _| Action::<u8>::Idle, |_, _, _| {});
-        sim.run_scheduled(&[(10, vec![0])], 10, &mut b);
+        let sched = sparse_of(&[(10, &[0])]);
+        sim.drive(
+            Schedule::Sparse {
+                schedule: &sched,
+                slots: 10,
+            },
+            &mut b,
+        );
     }
 
     #[test]
@@ -1673,8 +1592,8 @@ mod tests {
             },
             |_, _, _| {},
         );
-        sim.run(&[0], 2, &mut b);
-        sim.run(&[0], 2, &mut b);
+        drive_dense(&mut sim, &[0], 2, &mut b);
+        drive_dense(&mut sim, &[0], 2, &mut b);
         drop(b);
         assert_eq!(slots_seen, vec![0, 1, 0, 1]);
         assert_eq!(sim.now(), 4);

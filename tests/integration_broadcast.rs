@@ -149,12 +149,12 @@ fn flood_time_is_diameter_but_energy_is_not_constant() {
 #[test]
 fn path_algorithm_full_pipeline() {
     for seed in 0..5 {
-        let (stats, engine) = path_broadcast(256, 128, &PathConfig::default(), seed);
+        let (stats, sim) = path_broadcast(256, 128, &PathConfig::default(), seed);
         assert!(stats.all_informed, "seed {seed}");
         // Time within a constant of n even from the middle.
         assert!(stats.delivery_time <= 3 * 256);
         // Mean energy logarithmic.
-        assert!(engine.meter().report().mean <= 10.0 * 8.0);
+        assert!(sim.meter().report().mean <= 10.0 * 8.0);
     }
 }
 

@@ -10,7 +10,7 @@ use ebc_core::util::NodeRngs;
 use ebc_graphs::deterministic::{complete, grid, k2k};
 use ebc_graphs::random::bounded_degree;
 use ebc_radio::rng::node_rng;
-use ebc_radio::{Model, NodeId, Sim};
+use ebc_radio::{Model, NodeId, Schedule, Sim};
 use ebc_singlehop::det::det_leader_election;
 use ebc_singlehop::{run_uniform_le, Clique};
 
@@ -196,7 +196,13 @@ fn clique_behaves_like_complete_graph_sim() {
         },
         |v, _, fb: ebc_radio::Feedback<u8>| fb_sim.push((v, fb)),
     );
-    sim.run(&(0..n).collect::<Vec<_>>(), 1, &mut b);
+    sim.drive(
+        Schedule::Dense {
+            participants: &(0..n).collect::<Vec<_>>(),
+            slots: 1,
+        },
+        &mut b,
+    );
     drop(b);
 
     let mut clique = Clique::new(n, Model::Cd);
