@@ -56,6 +56,7 @@ impl Json {
     /// [`to_string_pretty`]: Json::to_string_pretty
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -172,6 +173,7 @@ impl Json {
 
 /// Recursive-descent parser over the serializer's dialect.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -321,12 +323,16 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // piece. Both are ASCII, so the run ends on a char
+                    // boundary of the already-valid input.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -519,6 +525,17 @@ mod tests {
         assert_eq!(parsed.get("x"), Some(&Json::Num(1000.0)));
         assert_eq!(parsed.get("y"), Some(&Json::Num(0.025)));
         assert_eq!(parsed.get("s").unwrap().as_str(), Some("aAü"));
+    }
+
+    #[test]
+    fn checked_in_scenario_matrix_round_trips_byte_for_byte() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../bench-baselines/scenario_matrix.json"
+        );
+        let text = std::fs::read_to_string(path).unwrap();
+        let doc = Json::parse(&text).unwrap();
+        assert!(doc.to_string_pretty() == text, "re-serialization drifted");
     }
 
     #[test]

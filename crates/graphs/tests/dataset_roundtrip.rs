@@ -1,36 +1,21 @@
-//! Property test: `parse → CSR → binary cache → load` is bit-identical
-//! across every dataset format.
+//! Property test: every dataset format parses back to the graph it was
+//! rendered from.
 //!
 //! Each case generates one random connected graph, renders it as a plain
 //! edge list, a SNAP export (sparse ids, duplicate/reversed edges,
 //! self-loops — everything normalization must undo), and a DIMACS file,
 //! with randomized comment placement (including unicode comments) and
-//! randomized LF/CRLF line endings. All three must parse to the same
-//! [`Graph`], and for each the binary CSR cache must serve a second load
-//! warm with byte-for-byte identical CSR arrays.
+//! randomized LF/CRLF line endings. Each render goes through the same
+//! `detect_format → parse_str → to_graph` path the file loader uses, and
+//! all three must reproduce the generating [`Graph`] exactly.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
-use ebc_graphs::datasets::{load_graph_cached, DatasetFormat};
+use ebc_graphs::datasets::{detect_format, parse_str, DatasetFormat};
 use ebc_radio::Graph;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// A fresh scratch dir per case (cases run sequentially, but keep names
-/// collision-free across processes and cases anyway).
-fn scratch() -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ebc_ds_roundtrip_{}_{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 const COMMENTS: [&str; 4] = [
     "a plain ascii comment",
@@ -137,24 +122,11 @@ fn render_dimacs(n: usize, edges: &[(usize, usize)], rng: &mut SmallRng) -> Stri
     join(lines, rng.gen_bool(0.5))
 }
 
-/// Parses `text` (written under `name` so extension-based detection picks
-/// the right parser), twice through the binary cache; returns the cold
-/// and warm graphs plus the warm load's cache bit.
-fn through_cache(dir: &std::path::Path, name: &str, text: &str) -> (Graph, Graph, bool) {
-    let src = dir.join(name);
-    let cache = dir.join("csr");
-    std::fs::write(&src, text).unwrap();
-    let cold = load_graph_cached(&src, &cache).unwrap();
-    assert!(!cold.from_cache);
-    let warm = load_graph_cached(&src, &cache).unwrap();
-    (cold.graph, warm.graph, warm.from_cache)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn parse_csr_cache_load_is_bit_identical_across_formats(
+    fn every_format_parses_to_the_generating_graph(
         n in 2usize..48,
         graph_seed in any::<u64>(),
         text_seed in any::<u64>(),
@@ -162,7 +134,6 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(graph_seed);
         let edges = random_edges(n, &mut rng);
         let expected = Graph::from_edges(n, &edges).unwrap();
-        let dir = scratch();
 
         let mut rng = SmallRng::seed_from_u64(text_seed);
         let renders = [
@@ -171,20 +142,10 @@ proptest! {
             ("g.gr", render_dimacs(n, &edges, &mut rng)),
         ];
         for (name, text) in renders {
-            let (cold, warm, from_cache) = through_cache(&dir, name, &text);
-            // Cold parse reproduces the generating graph exactly…
-            prop_assert_eq!(&cold, &expected, "{} cold", name);
-            // …and the warm load is served from the binary cache with
-            // byte-identical CSR arrays.
-            prop_assert!(from_cache, "{} second load must be warm", name);
-            prop_assert_eq!(warm.offsets(), expected.offsets(), "{} offsets", name);
-            prop_assert_eq!(
-                warm.neighbor_data(),
-                expected.neighbor_data(),
-                "{} neighbors",
-                name
-            );
+            // `name`'s extension makes format detection pick the parser.
+            let format = detect_format(Path::new(name), &text);
+            let parsed = parse_str(&text, format).unwrap().to_graph().unwrap();
+            prop_assert_eq!(&parsed, &expected, "{}", name);
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
