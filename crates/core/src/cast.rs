@@ -25,27 +25,28 @@ use crate::BroadcastOutcome;
 
 /// One SR round between computed sender/receiver sets, with clean skipping.
 ///
-/// Returns `(receiver, message)` pairs for successful receptions.
+/// Calls `deliver(receiver, message)` for each successful reception, in
+/// receiver-list order.
 pub fn sr_round<M>(
     sim: &mut Sim,
     sr: &Sr,
     senders: Vec<(NodeId, M)>,
     receivers: Vec<NodeId>,
     rngs: &mut NodeRngs,
-) -> Vec<(NodeId, M)>
-where
+    mut deliver: impl FnMut(NodeId, M),
+) where
     M: Clone + core::fmt::Debug + PartialEq,
 {
     if senders.is_empty() && receivers.is_empty() {
         sim.skip(sr.round_slots());
-        return Vec::new();
+        return;
     }
     let got = sr.run(sim, &senders, &receivers, rngs);
-    receivers
-        .into_iter()
-        .zip(got)
-        .filter_map(|(v, m)| m.map(|m| (v, m)))
-        .collect()
+    for (v, m) in receivers.into_iter().zip(got) {
+        if let Some(m) = m {
+            deliver(v, m);
+        }
+    }
 }
 
 /// The occupied layers of a labeling, ascending by layer.
@@ -59,43 +60,53 @@ where
 /// walking every round. Labels at or beyond `layer_bound` are clamped
 /// into the last layer (they never arise for labelings from this crate).
 struct Layers {
-    /// `(layer, its vertices in ascending id order)`, sorted by layer.
-    occupied: Vec<(u32, Vec<NodeId>)>,
+    /// The occupied (clamped) labels, ascending.
+    labels: Vec<u32>,
+    /// Layer `labels[i]` is `order[start[i]..start[i + 1]]`.
+    start: Vec<usize>,
+    /// Every vertex, grouped by layer and ascending by id within one.
+    order: Vec<NodeId>,
 }
 
 impl Layers {
+    /// One counting sort of the vertices by clamped label.
     fn build(labeling: &Labeling, layer_bound: u32) -> Layers {
         let n = labeling.n();
-        // Pass 1: bitmap of present (clamped) labels.
-        let mut present = vec![0u64; (layer_bound as usize).div_ceil(64)];
+        let clamped = |v: NodeId| labeling.label(v).min(layer_bound - 1) as usize;
+        let top = (0..n).map(clamped).max().map_or(0, |l| l + 1);
+        // count[l] becomes layer l's offset into `order`.
+        let mut count = vec![0usize; top];
         for v in 0..n {
-            let l = labeling.label(v).min(layer_bound - 1);
-            present[(l >> 6) as usize] |= 1 << (l & 63);
+            count[clamped(v)] += 1;
         }
-        let mut occupied: Vec<(u32, Vec<NodeId>)> = Vec::new();
-        for (w, &word) in present.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let l = (w as u32) << 6 | word.trailing_zeros();
-                occupied.push((l, Vec::new()));
-                word &= word - 1;
+        let mut labels = Vec::new();
+        let mut start = vec![0];
+        let mut offset = 0;
+        for (l, c) in count.iter_mut().enumerate() {
+            if *c != 0 {
+                labels.push(l as u32);
+                offset += *c;
+                start.push(offset);
             }
+            *c = offset - *c;
         }
-        // Pass 2: fill each occupied layer in vertex order.
+        let mut order = vec![0; n];
         for v in 0..n {
-            let l = labeling.label(v).min(layer_bound - 1);
-            let i = occupied
-                .binary_search_by_key(&l, |e| e.0)
-                .expect("label marked present");
-            occupied[i].1.push(v);
+            let slot = &mut count[clamped(v)];
+            order[*slot] = v;
+            *slot += 1;
         }
-        Layers { occupied }
+        Layers {
+            labels,
+            start,
+            order,
+        }
     }
 
     /// The layer-`l` vertices (empty slice if unoccupied).
     fn get(&self, l: u32) -> &[NodeId] {
-        match self.occupied.binary_search_by_key(&l, |e| e.0) {
-            Ok(i) => &self.occupied[i].1,
+        match self.labels.binary_search(&l) {
+            Ok(i) => &self.order[self.start[i]..self.start[i + 1]],
             Err(_) => &[],
         }
     }
@@ -104,8 +115,8 @@ impl Layers {
     /// (senders layer `i`, receivers layer `i + 1`) for `i ≤ L - 2` with
     /// layer `i` or `i + 1` occupied.
     fn down_rounds(&self, layer_bound: u32) -> Vec<u64> {
-        let mut rounds = Vec::with_capacity(2 * self.occupied.len());
-        for &(l, _) in &self.occupied {
+        let mut rounds = Vec::with_capacity(2 * self.labels.len());
+        for &l in &self.labels {
             let l = u64::from(l);
             if l + 2 <= u64::from(layer_bound) {
                 rounds.push(l); // this layer sends down to l + 1
@@ -124,8 +135,8 @@ impl Layers {
     /// with layer `i` or `i - 1` occupied. The cast itself runs them in
     /// descending order.
     fn up_rounds(&self, layer_bound: u32) -> Vec<u64> {
-        let mut rounds = Vec::with_capacity(2 * self.occupied.len());
-        for &(l, _) in &self.occupied {
+        let mut rounds = Vec::with_capacity(2 * self.labels.len());
+        for &l in &self.labels {
             let l = u64::from(l);
             if l >= 1 {
                 rounds.push(l); // this layer sends up to l - 1
@@ -199,9 +210,7 @@ impl PayloadCaster<'_> {
                     .copied()
                     .filter(|&v| !has[v])
                     .collect();
-                for (v, _) in sr_round(sim, self.sr, senders, receivers, rngs) {
-                    has[v] = true;
-                }
+                sr_round(sim, self.sr, senders, receivers, rngs, |v, _| has[v] = true);
             },
         );
     }
@@ -211,9 +220,7 @@ impl PayloadCaster<'_> {
         let senders: Vec<(NodeId, Payload)> =
             (0..n).filter(|&v| has[v]).map(|v| (v, Payload)).collect();
         let receivers: Vec<NodeId> = (0..n).filter(|&v| !has[v]).collect();
-        for (v, _) in sr_round(sim, self.sr, senders, receivers, rngs) {
-            has[v] = true;
-        }
+        sr_round(sim, self.sr, senders, receivers, rngs, |v, _| has[v] = true);
     }
 
     fn up(&self, sim: &mut Sim, has: &mut [bool], rngs: &mut NodeRngs) {
@@ -239,9 +246,7 @@ impl PayloadCaster<'_> {
                     .copied()
                     .filter(|&v| !has[v])
                     .collect();
-                for (v, _) in sr_round(sim, self.sr, senders, receivers, rngs) {
-                    has[v] = true;
-                }
+                sr_round(sim, self.sr, senders, receivers, rngs, |v, _| has[v] = true);
             },
         );
     }
@@ -398,18 +403,18 @@ fn relabel_from(
                     .copied()
                     .filter(|&v| newl[v].is_none())
                     .collect();
-                for (v, m) in sr_round(sim, sr, senders, receivers, rngs) {
-                    newl[v] = Some(m + 1);
-                }
+                sr_round(sim, sr, senders, receivers, rngs, |v, m| {
+                    newl[v] = Some(m + 1)
+                });
             },
         );
     };
     let all = |sim: &mut Sim, newl: &mut Vec<Option<u32>>, rngs: &mut NodeRngs| {
         let senders: Vec<(NodeId, u32)> = (0..n).filter_map(|v| newl[v].map(|m| (v, m))).collect();
         let receivers: Vec<NodeId> = (0..n).filter(|&v| newl[v].is_none()).collect();
-        for (v, m) in sr_round(sim, sr, senders, receivers, rngs) {
-            newl[v] = Some(m + 1);
-        }
+        sr_round(sim, sr, senders, receivers, rngs, |v, m| {
+            newl[v] = Some(m + 1)
+        });
     };
     let up = |sim: &mut Sim, newl: &mut Vec<Option<u32>>, rngs: &mut NodeRngs| {
         let rounds = layers.up_rounds(layer_bound);
@@ -430,9 +435,9 @@ fn relabel_from(
                     .copied()
                     .filter(|&v| newl[v].is_none())
                     .collect();
-                for (v, m) in sr_round(sim, sr, senders, receivers, rngs) {
-                    newl[v] = Some(m + 1);
-                }
+                sr_round(sim, sr, senders, receivers, rngs, |v, m| {
+                    newl[v] = Some(m + 1)
+                });
             },
         );
     };

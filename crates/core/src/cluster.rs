@@ -146,9 +146,9 @@ pub fn partition_beta(sim: &mut Sim, beta: f64, sr: &Sr, rngs: &mut NodeRngs) ->
             .filter_map(|v| assigned[v].map(|(c, l)| (v, (c, l))))
             .collect();
         let receivers: Vec<NodeId> = (0..n).filter(|&v| assigned[v].is_none()).collect();
-        for (v, (c, l)) in sr_round(sim, sr, senders, receivers, rngs) {
+        sr_round(sim, sr, senders, receivers, rngs, |v, (c, l)| {
             assigned[v] = Some((c, l + 1));
-        }
+        });
     }
     // Everyone self-activated at the latest at its own start epoch.
     start.clear();
@@ -317,14 +317,13 @@ pub fn iterate_partition(
             })
             .collect();
         let receivers: Vec<NodeId> = (0..n).filter(|&v| scid[v].is_none()).collect();
-        let offers = sr_round(sim, sr, senders, receivers, rngs);
         // pending[v] = (scid, my would-be layer).
         let mut pending: std::collections::HashMap<NodeId, (u64, u32)> = Default::default();
-        for (v, m) in offers {
+        sr_round(sim, sr, senders, receivers, rngs, |v, m| {
             if let CMsg::Offer { scid: c, slayer } = m {
                 pending.insert(v, (c, slayer + 1));
             }
-        }
+        });
         // Election: candidates rise to the old cluster root (§6.4 step 1),
         // which re-announces the winner downward. Messages are filtered by
         // the old cluster id.

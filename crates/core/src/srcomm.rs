@@ -15,7 +15,15 @@
 //!   single-hop leader-election schedule (from [`ebc_singlehop`]) into
 //!   SR-communication for CD: `O(log Δ (log log Δ + log 1/f))` time but
 //!   only `O(log log Δ + log 1/f)` energy, plus Remark 9's constant-energy
-//!   relevance check.
+//!   relevance check. The check is one 2-slot dense primitive over `S ∪ R`
+//!   sharing the round's role map and participant list; only the vertices
+//!   it keeps enter the epochs' wake queue, where a sender holds its
+//!   current epoch's send slots as one packed word drawn lazily at the
+//!   epoch boundary. One round costs `O(n)` for the role map (one entry
+//!   per vertex, zero-filled each round), `O(|S| + |R|)` for the check and
+//!   the participant list, and `O(1)` per surviving action; per-node
+//!   random streams advance exactly as if every coin were flipped slot by
+//!   slot.
 //! * [`Sr::Tdma`] — collision-free scheduling over a coloring of `G + G²`
 //!   (Theorem 3's simulation): sender energy 1, receiver energy ≤ Δ.
 //!
@@ -28,13 +36,6 @@ use ebc_singlehop::{Obs, UniformLeaderElection};
 use rand::Rng;
 
 use crate::util::{ceil_log2, IdIndex, NodeRngs, RoleMap};
-
-/// Wrapper distinguishing payload messages from Remark 9 relevance markers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum SrMsg<M> {
-    Marker,
-    Payload(M),
-}
 
 /// An SR-communication strategy with its parameters.
 ///
@@ -197,8 +198,8 @@ struct DecayBehavior<'a, M> {
 impl<M: Clone> SlotBehavior<M> for DecayBehavior<'_, M> {
     fn act(&mut self, v: NodeId, t: u64) -> Action<M> {
         if let Some(si) = self.roles.sender(v) {
-            let i = (t % self.sweep_len) as i32;
-            if self.rngs.get(v).gen_bool(0.5_f64.powi(i)) {
+            let i = (t % self.sweep_len) as usize;
+            if self.rngs.get(v).gen_bool(POW2_NEG[i]) {
                 Action::Send(self.senders[si].1.clone())
             } else {
                 Action::Idle
@@ -270,6 +271,18 @@ fn run_decay<M: Clone + core::fmt::Debug>(
     behavior.got
 }
 
+/// `POW2_NEG[k]` is `2^-k` (each halving is exact): the per-slot
+/// transmission probabilities of decay and of Lemma 8's senders.
+const POW2_NEG: [f64; 65] = {
+    let mut t = [1.0f64; 65];
+    let mut k = 1;
+    while k < t.len() {
+        t[k] = t[k - 1] * 0.5;
+        k += 1;
+    }
+    t
+};
+
 #[allow(clippy::too_many_arguments)]
 fn run_cd<M>(
     sim: &mut Sim,
@@ -288,67 +301,62 @@ where
         "Sr::CdTransform needs collision detection"
     );
     let sweep_len = slots_per_sweep(delta);
-    let mut active_s: Vec<bool> = vec![true; senders.len()];
-    let mut active_r: Vec<bool> = vec![true; receivers.len()];
-
-    // Remark 9: in CD, one slot where S transmits and R listens tells every
-    // receiver whether it has any S-neighbor (noise and messages are both
-    // "activity"); a second, mirrored slot tells every sender whether it has
-    // any R-neighbor. Irrelevant vertices then idle for the main phase,
-    // paying O(1) instead of O(epochs).
-    if relevance_check {
-        run_marker_slot(
-            sim,
-            senders.iter().map(|(v, _)| *v),
-            receivers,
-            &mut active_r,
-        );
-        let sender_ids: Vec<NodeId> = senders.iter().map(|(v, _)| *v).collect();
-        let mut sender_active_flags = active_s.clone();
-        run_marker_slot(
-            sim,
-            receivers.iter().copied(),
-            &sender_ids,
-            &mut sender_active_flags,
-        );
-        active_s = sender_active_flags;
-    }
-
-    let participants: Vec<NodeId> = senders
+    assert!(
+        sweep_len <= 64,
+        "Δ = {delta} overflows a 64-slot epoch plan"
+    );
+    let roles = RoleMap::new(
+        sim.graph().n(),
+        senders.iter().map(|(v, _)| *v),
+        receivers.iter().copied(),
+    );
+    let mut participants: Vec<NodeId> = senders
         .iter()
         .map(|(v, _)| *v)
         .chain(receivers.iter().copied())
         .collect();
+
+    if relevance_check {
+        let mut check = RelevanceCheck {
+            roles: &roles,
+            active_s: vec![true; senders.len()],
+            active_r: vec![true; receivers.len()],
+        };
+        sim.drive(
+            Schedule::Dense {
+                participants: &participants,
+                slots: 2,
+            },
+            &mut check,
+        );
+        let RelevanceCheck {
+            active_s, active_r, ..
+        } = check;
+        participants.retain(|&v| match roles.sender(v) {
+            Some(si) => active_s[si],
+            None => active_r[roles.receiver(v).expect("participant is S or R")],
+        });
+    }
+
     let mut behavior = CdBehavior {
         senders,
-        roles: RoleMap::new(
-            sim.graph().n(),
-            senders.iter().map(|(v, _)| *v),
-            receivers.iter().copied(),
-        ),
+        roles,
         got: vec![None; receivers.len()],
-        active_s,
-        active_r,
         // Each receiver privately simulates the uniform leader-election
         // schedule: in epoch e it listens only at the slot matching its
         // current exponent k_e.
-        scheds: receivers
-            .iter()
-            .map(|_| UniformLeaderElection::new(delta.max(1)))
-            .collect(),
-        sends: vec![[0; 2]; senders.len()],
-        sends_len: vec![0; senders.len()],
-        sends_next: vec![0; senders.len()],
-        cur_epoch: vec![0; senders.len()],
+        scheds: vec![UniformLeaderElection::new(delta.max(1)); receivers.len()],
+        plans: vec![0; senders.len()],
         epochs: u64::from(epochs),
         sweep_len,
         rngs,
     };
     // All epochs are one dynamic primitive (epoch boundaries live inside
-    // the behavior): irrelevant or satisfied vertices drop out of the wake
-    // queue once instead of being re-seeded per epoch, so the whole call
-    // costs O(|S| + |R|) setup plus the genuinely active polls — the
-    // difference that lets the Theorem 12 casts keep their huge
+    // the behavior) offered only the check's survivors: a satisfied
+    // vertex drops out of the wake queue once instead of being re-seeded
+    // per epoch, so past the round's O(n) role map and O(|S| + |R|)
+    // participant list the call costs only the genuinely active polls —
+    // the difference that lets the Theorem 12 casts keep their huge
     // participant sets at n = 10^6.
     sim.drive(
         Schedule::Dynamic {
@@ -360,102 +368,131 @@ where
     behavior.got
 }
 
-/// State of one Lemma 8 run.
+/// Remark 9's relevance check as one 2-slot primitive over all of
+/// `S ∪ R`. In slot 0 every sender transmits a marker and every receiver
+/// listens; in slot 1 the roles swap. Under CD a checker that hears true
+/// silence has no counterpart in range (noise and messages are both
+/// activity), so it sits out the main phase, paying O(1) instead of
+/// O(epochs).
+struct RelevanceCheck<'a> {
+    roles: &'a RoleMap,
+    active_s: Vec<bool>,
+    active_r: Vec<bool>,
+}
+
+impl SlotBehavior<()> for RelevanceCheck<'_> {
+    fn act(&mut self, v: NodeId, t: u64) -> Action<()> {
+        // Senders mark in slot 0, receivers in slot 1.
+        if self.roles.sender(v).is_some() == (t == 0) {
+            Action::Send(())
+        } else {
+            Action::Listen
+        }
+    }
+
+    fn feedback(&mut self, v: NodeId, t: u64, fb: Feedback<()>) {
+        if matches!(fb, Feedback::Silence) {
+            if t == 0 {
+                self.active_r[self.roles.receiver(v).expect("slot-0 checker is R")] = false;
+            } else {
+                self.active_s[self.roles.sender(v).expect("slot-1 checker is S")] = false;
+            }
+        }
+    }
+}
+
+/// State of one Lemma 8 run (the main phase, after the relevance check).
 struct CdBehavior<'a, M> {
     senders: &'a [(NodeId, M)],
     roles: RoleMap,
     got: Vec<Option<M>>,
-    active_s: Vec<bool>,
-    active_r: Vec<bool>,
     scheds: Vec<UniformLeaderElection>,
-    /// Predetermined absolute send slots of epoch `cur_epoch[si]`:
-    /// `sends[si][..sends_len[si]]`, with `sends_next[si]` consumed so far.
+    /// Sender `si`'s send slots still ahead in its current epoch, as one
+    /// packed word: bit `i` set means it transmits at 0-based slot `i` of the
+    /// epoch. Its epoch is that of its pending wake, so no epoch counter
+    /// is kept.
     ///
     /// Slot i of an epoch (1-based) transmits with probability 2^{-i}, at
     /// most twice per epoch, so whichever slot a receiver samples sees the
-    /// uniform probability it expects. The Bernoulli draws of one epoch are
-    /// batched at the epoch boundary — per-node draw order is identical to
-    /// drawing slot-by-slot (each draw stops being made once two sends are
-    /// fixed, exactly like the in-slot early-out) — which lets a sender
-    /// wake only at its actual send slots instead of polling every slot.
-    sends: Vec<[u64; 2]>,
-    sends_len: Vec<u8>,
-    sends_next: Vec<u8>,
-    cur_epoch: Vec<u64>,
+    /// uniform probability it expects. An epoch's Bernoulli draws are made
+    /// lazily, when the sender's previous epoch runs out of sends — the
+    /// per-node draw order is identical to drawing slot-by-slot (draws
+    /// stop once two sends are fixed, exactly like the in-slot early-out)
+    /// — which lets a sender wake only at its actual send slots instead of
+    /// polling every slot.
+    plans: Vec<u64>,
     epochs: u64,
     sweep_len: u64,
     rngs: &'a mut NodeRngs,
 }
 
 impl<M: Clone> CdBehavior<'_, M> {
-    /// Draws sender `si`'s send slots for `epoch` (consuming exactly the
-    /// Bernoulli draws the slot-by-slot protocol would).
-    fn draw_sends(&mut self, v: NodeId, si: usize, epoch: u64) {
-        self.cur_epoch[si] = epoch;
-        let mut len = 0u8;
-        let rng = self.rngs.get(v);
-        for slot in 0..self.sweep_len {
-            if rng.gen_bool(0.5_f64.powi(slot as i32 + 1)) {
-                self.sends[si][usize::from(len)] = epoch * self.sweep_len + slot;
-                len += 1;
-                if len == 2 {
-                    break;
-                }
-            }
-        }
-        self.sends_len[si] = len;
-        self.sends_next[si] = 0;
-    }
-
-    /// The sender's next send slot, drawing further epochs as needed; the
-    /// returned slot is consumed (it becomes the sender's next wake).
-    fn next_send_wake(&mut self, v: NodeId, si: usize) -> Option<u64> {
+    /// The sender's next send slot at or after epoch `epoch`, whose
+    /// remaining plan is `plans[si]`, drawing later epochs as it runs
+    /// out; the returned slot is consumed (it becomes the sender's next
+    /// wake).
+    fn next_send_wake(&mut self, v: NodeId, si: usize, mut epoch: u64) -> Option<u64> {
         loop {
-            if self.sends_next[si] < self.sends_len[si] {
-                let t = self.sends[si][usize::from(self.sends_next[si])];
-                self.sends_next[si] += 1;
-                return Some(t);
+            let plan = self.plans[si];
+            if plan != 0 {
+                self.plans[si] = plan & (plan - 1);
+                return Some(epoch * self.sweep_len + u64::from(plan.trailing_zeros()));
             }
-            let next_epoch = self.cur_epoch[si] + 1;
-            if next_epoch >= self.epochs {
+            epoch += 1;
+            if epoch >= self.epochs {
                 return None;
             }
-            self.draw_sends(v, si, next_epoch);
+            self.plans[si] = self.draw_epoch(v);
         }
+    }
+
+    /// Draws one epoch's send slots for `v` (consuming exactly the
+    /// Bernoulli draws the slot-by-slot protocol would).
+    fn draw_epoch(&mut self, v: NodeId) -> u64 {
+        let rng = self.rngs.get(v);
+        let mut plan = 0u64;
+        let mut sends = 0u32;
+        // Folding each coin into the word keeps the only data-dependent
+        // branch at the two-send cut-off.
+        for slot in 0..self.sweep_len as usize {
+            if sends == 2 {
+                break;
+            }
+            let hit = rng.gen_bool(POW2_NEG[slot + 1]);
+            plan |= u64::from(hit) << slot;
+            sends += u32::from(hit);
+        }
+        plan
+    }
+
+    /// Receiver `ri`'s sampled slot `k_e - 1` within the current epoch.
+    fn listen_slot(&self, ri: usize) -> u64 {
+        u64::from(self.scheds[ri].k().clamp(1, self.sweep_len as u32)) - 1
     }
 }
 
-impl<M: Clone> SlotBehavior<SrMsg<M>> for CdBehavior<'_, M> {
-    fn act(&mut self, v: NodeId, t: u64) -> Action<SrMsg<M>> {
-        let slot = t % self.sweep_len;
-        if let Some(si) = self.roles.sender(v) {
-            // A sender is only ever woken at one of its predetermined send
-            // slots.
-            debug_assert!(self.active_s[si]);
-            debug_assert!(self.sends[si][..usize::from(self.sends_len[si])].contains(&t));
-            Action::Send(SrMsg::Payload(self.senders[si].1.clone()))
-        } else {
-            let ri = self.roles.receiver(v).expect("participant is S or R");
-            if !self.active_r[ri] || self.got[ri].is_some() {
-                return Action::Idle;
-            }
-            let k = self.scheds[ri].k().clamp(1, self.sweep_len as u32);
-            if slot + 1 == u64::from(k) {
+impl<M: Clone> SlotBehavior<M> for CdBehavior<'_, M> {
+    // A sender is only ever woken at one of its planned send slots and a
+    // receiver only at its sampled slot, before it holds a message.
+    fn act(&mut self, v: NodeId, t: u64) -> Action<M> {
+        match self.roles.sender(v) {
+            Some(si) => Action::Send(self.senders[si].1.clone()),
+            None => {
+                let ri = self.roles.receiver(v).expect("participant is S or R");
+                debug_assert!(self.got[ri].is_none());
+                debug_assert_eq!(t % self.sweep_len, self.listen_slot(ri));
                 Action::Listen
-            } else {
-                Action::Idle
             }
         }
     }
 
-    fn feedback(&mut self, v: NodeId, _t: u64, fb: Feedback<SrMsg<M>>) {
+    fn feedback(&mut self, v: NodeId, _t: u64, fb: Feedback<M>) {
         let ri = self.roles.receiver(v).expect("listener is a receiver");
         let obs = match fb {
-            Feedback::One(SrMsg::Payload(m)) => {
+            Feedback::One(m) => {
                 self.got[ri] = Some(m);
                 Obs::Unique
             }
-            Feedback::One(SrMsg::Marker) => Obs::Unique,
             Feedback::Noise | Feedback::Beep => Obs::Noise,
             Feedback::Silence => Obs::Silence,
             Feedback::Many(_) => unreachable!("CD never delivers Many"),
@@ -465,86 +502,32 @@ impl<M: Clone> SlotBehavior<SrMsg<M>> for CdBehavior<'_, M> {
         self.scheds[ri].observe(obs);
     }
 
-    // Across the whole run: an inactive or satisfied sender/receiver never
-    // enters the wake queue, an active sender wakes only at its
-    // predetermined send slots (epochs' draws are batched at the
-    // boundary), and an active receiver wakes only at its one sampled slot
-    // `k_e - 1` of each epoch.
+    // Across the whole run: an active sender wakes only at its planned
+    // send slots, and an active receiver wakes only at its one sampled
+    // slot `k_e - 1` of each epoch until it holds a message.
     fn first_wake(&mut self, v: NodeId) -> Option<u64> {
-        if let Some(si) = self.roles.sender(v) {
-            if !self.active_s[si] {
-                return None;
+        match self.roles.sender(v) {
+            Some(si) => {
+                self.plans[si] = self.draw_epoch(v);
+                self.next_send_wake(v, si, 0)
             }
-            self.draw_sends(v, si, 0);
-            self.next_send_wake(v, si)
-        } else {
-            let ri = self.roles.receiver(v).expect("participant is S or R");
-            if !self.active_r[ri] || self.got[ri].is_some() {
-                return None;
-            }
-            let k = self.scheds[ri].k().clamp(1, self.sweep_len as u32);
-            Some(u64::from(k) - 1)
+            None => Some(self.listen_slot(self.roles.receiver(v).expect("participant is S or R"))),
         }
     }
 
     fn next_wake(&mut self, v: NodeId, t: u64) -> Option<u64> {
         let epoch = t / self.sweep_len;
         if let Some(si) = self.roles.sender(v) {
-            self.next_send_wake(v, si)
-        } else {
-            let ri = self.roles.receiver(v).expect("participant is S or R");
-            if !self.active_r[ri] || self.got[ri].is_some() {
-                return None;
-            }
-            // `feedback` already observed this epoch's outcome, so `k` is
-            // next epoch's sampled slot.
-            let k = self.scheds[ri].k().clamp(1, self.sweep_len as u32);
-            Some((epoch + 1) * self.sweep_len + u64::from(k) - 1)
+            return self.next_send_wake(v, si, epoch);
         }
+        let ri = self.roles.receiver(v).expect("participant is S or R");
+        if self.got[ri].is_some() {
+            return None;
+        }
+        // `feedback` already observed this epoch's outcome, so `k` is
+        // next epoch's sampled slot.
+        Some((epoch + 1) * self.sweep_len + self.listen_slot(ri))
     }
-}
-
-/// One Remark 9 marker slot: everyone in `markers` transmits a marker,
-/// everyone in `checkers` listens; `active[i]` is cleared for checkers that
-/// hear true silence (no counterpart in range).
-fn run_marker_slot(
-    sim: &mut Sim,
-    markers: impl Iterator<Item = NodeId>,
-    checkers: &[NodeId],
-    active: &mut [bool],
-) {
-    let marker_ids: Vec<NodeId> = markers.collect();
-    let roles = RoleMap::new(
-        sim.graph().n(),
-        marker_ids.iter().copied(),
-        checkers.iter().copied(),
-    );
-    let participants: Vec<NodeId> = marker_ids
-        .iter()
-        .copied()
-        .chain(checkers.iter().copied())
-        .collect();
-    let mut behavior = ebc_radio::from_fns(
-        |v, _t| {
-            if roles.sender(v).is_some() {
-                Action::Send(SrMsg::<u8>::Marker)
-            } else {
-                Action::Listen
-            }
-        },
-        |v, _t, fb: Feedback<SrMsg<u8>>| {
-            if matches!(fb, Feedback::Silence) {
-                active[roles.receiver(v).expect("listener is a checker")] = false;
-            }
-        },
-    );
-    sim.drive(
-        Schedule::Dense {
-            participants: &participants,
-            slots: 1,
-        },
-        &mut behavior,
-    );
 }
 
 /// State of one TDMA round.
@@ -1089,5 +1072,230 @@ mod tests {
             relevance_check: true,
         };
         assert_eq!(c.round_slots(), 2 + 5 * 4);
+    }
+
+    #[test]
+    fn every_strategy_advances_the_clock_by_round_slots() {
+        // Star with hub 0 and leaves 1..=4: S and R on both sides, plus a
+        // lonely receiver pair for the relevance check to drop.
+        let g = star(4);
+        let senders = [(1usize, 11u32), (2, 12)];
+        let receivers: [NodeId; 2] = [0, 3];
+        let colors = std::sync::Arc::new(vec![0u32, 1, 2, 3, 4]);
+        let cd = |relevance_check| Sr::CdTransform {
+            delta: 4,
+            epochs: 6,
+            relevance_check,
+        };
+        let cases: Vec<(Model, Sr)> = vec![
+            (Model::Local, Sr::Local),
+            (
+                Model::NoCd,
+                Sr::Decay {
+                    delta: 4,
+                    sweeps: 3,
+                },
+            ),
+            (Model::Cd, cd(true)),
+            (Model::Cd, cd(false)),
+            (Model::CdStar, cd(true)),
+            (
+                Model::NoCd,
+                Sr::Tdma {
+                    colors,
+                    num_colors: 5,
+                },
+            ),
+        ];
+        for (model, sr) in cases {
+            for (s, r) in [
+                (&senders[..], &receivers[..]),
+                (&[][..], &receivers[..]),
+                (&senders[..], &[][..]),
+                (&[][..], &[][..]),
+            ] {
+                let mut sim = Sim::new(g.clone(), model, 3);
+                sim.skip(5);
+                let got = sr.run(&mut sim, s, r, &mut rngs(5));
+                assert_eq!(got.len(), r.len(), "{sr:?}");
+                assert_eq!(
+                    sim.now(),
+                    5 + sr.round_slots(),
+                    "{sr:?} with |S| = {}, |R| = {}",
+                    s.len(),
+                    r.len()
+                );
+            }
+        }
+    }
+
+    /// What one golden CD SR run pins: the clock after the call, summed
+    /// sends / listens / deliveries, and an FNV-1a digest over every
+    /// node's sends, listens and next `u64` of its private stream, then
+    /// every receiver's result.
+    type Golden = (u64, u64, u64, usize, u64);
+
+    fn fnv(h: &mut u64, x: u64) {
+        for b in x.to_le_bytes() {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn golden_cd_run(
+        g: &ebc_radio::Graph,
+        senders: &[(NodeId, u32)],
+        receivers: &[NodeId],
+        delta: usize,
+        relevance_check: bool,
+        plan: ebc_radio::FaultPlan,
+    ) -> Golden {
+        let n = g.n();
+        let mut sim = Sim::with_faults(g.clone(), Model::Cd, 11, plan);
+        let mut rngs = NodeRngs::new(23, n, 5);
+        let got = Sr::CdTransform {
+            delta,
+            epochs: 12,
+            relevance_check,
+        }
+        .run(&mut sim, senders, receivers, &mut rngs);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for v in 0..n {
+            fnv(&mut h, sim.meter().sends(v));
+            fnv(&mut h, sim.meter().listens(v));
+            fnv(&mut h, rngs.get(v).gen::<u64>());
+        }
+        for m in &got {
+            fnv(&mut h, m.map_or(0, |m| u64::from(m) + 1));
+        }
+        let sends = (0..n).map(|v| sim.meter().sends(v)).sum();
+        let listens = (0..n).map(|v| sim.meter().listens(v)).sum();
+        let delivered = got.iter().filter(|m| m.is_some()).count();
+        (sim.now(), sends, listens, delivered, h)
+    }
+
+    /// The rng-stream contract of [`Sr::CdTransform`]: per-node energy,
+    /// clock, results and each node's stream position after the call,
+    /// pinned on a binary tree (one layer sending to the next, plus an
+    /// irrelevant sender and receiver) and on `K_{2,8}` (contention at
+    /// both poles, one irrelevant middle), with the relevance check on
+    /// and off, clean and under each fault kind that changes what a
+    /// device hears. Any reordering of the per-node Bernoulli draws, the
+    /// relevance check or the wake schedule moves these values.
+    #[test]
+    fn cd_sr_golden_rng_stream_contract() {
+        use ebc_graphs::deterministic::complete_tree;
+        use ebc_radio::{FaultPlan, JammerStrategy};
+        let tree = complete_tree(2, 4);
+        let tree_s: Vec<(NodeId, u32)> = [5usize, 0, 3, 30, 6, 4]
+            .iter()
+            .map(|&v| (v, 10 * v as u32 + 1))
+            .collect();
+        let tree_r: Vec<NodeId> = vec![14, 7, 15, 8, 9, 10, 11, 12, 13];
+        let bip = k2k(8);
+        let bip_s: Vec<(NodeId, u32)> = (2..=8).map(|v| (v, 10 * v as u32 + 1)).collect();
+        let bip_r: Vec<NodeId> = vec![0, 1, 9];
+        let plans = |s: NodeId, r: NodeId| {
+            [
+                ("clean", FaultPlan::None),
+                ("slot-loss", FaultPlan::SlotLoss { p: 0.25 }),
+                (
+                    "crash",
+                    FaultPlan::Crash {
+                        schedule: vec![(1, r), (6, s)],
+                    },
+                ),
+                (
+                    "jammer",
+                    FaultPlan::Jammer {
+                        budget: 3,
+                        strategy: JammerStrategy::Reactive,
+                    },
+                ),
+            ]
+        };
+        let mut observed: Vec<(String, Golden)> = Vec::new();
+        for (name, g, s, r, delta) in [
+            ("tree", &tree, &tree_s, &tree_r, 3),
+            ("k2k8", &bip, &bip_s, &bip_r, 8),
+        ] {
+            for check in [true, false] {
+                for (fault, plan) in plans(s[0].0, r[0]) {
+                    let label = format!("{name}/check={check}/{fault}");
+                    observed.push((label, golden_cd_run(g, s, r, delta, check, plan)));
+                }
+            }
+        }
+        let expected: &[(&str, Golden)] = &[
+            (
+                "tree/check=true/clean",
+                (38, 77, 25, 8, 10855503844593320369),
+            ),
+            (
+                "tree/check=true/slot-loss",
+                (38, 77, 15, 0, 3238059286557160524),
+            ),
+            (
+                "tree/check=true/crash",
+                (38, 50, 22, 7, 16647378654573728998),
+            ),
+            (
+                "tree/check=true/jammer",
+                (38, 86, 58, 8, 13688639668148988207),
+            ),
+            (
+                "tree/check=false/clean",
+                (36, 71, 22, 8, 16619293544567842276),
+            ),
+            (
+                "tree/check=false/slot-loss",
+                (36, 71, 38, 8, 15926434479998163030),
+            ),
+            (
+                "tree/check=false/crash",
+                (36, 58, 20, 7, 7010383938025887946),
+            ),
+            (
+                "tree/check=false/jammer",
+                (36, 71, 84, 8, 7310721339037459189),
+            ),
+            (
+                "k2k8/check=true/clean",
+                (62, 91, 14, 2, 6227866730119440397),
+            ),
+            (
+                "k2k8/check=true/slot-loss",
+                (62, 91, 10, 0, 13316675511982187709),
+            ),
+            (
+                "k2k8/check=true/crash",
+                (62, 80, 12, 1, 2319855610837642652),
+            ),
+            (
+                "k2k8/check=true/jammer",
+                (62, 91, 26, 2, 16521827790354138409),
+            ),
+            (
+                "k2k8/check=false/clean",
+                (60, 81, 16, 2, 7476105804639280675),
+            ),
+            (
+                "k2k8/check=false/slot-loss",
+                (60, 81, 36, 0, 3111273850063984611),
+            ),
+            (
+                "k2k8/check=false/crash",
+                (60, 72, 15, 1, 7609339889134846063),
+            ),
+            (
+                "k2k8/check=false/jammer",
+                (60, 81, 22, 2, 2825975081294057571),
+            ),
+        ];
+        for ((label, got), (want_label, want)) in observed.iter().zip(expected) {
+            assert_eq!(label, want_label);
+            assert_eq!(got, want, "{label}: {got:?}");
+        }
+        assert_eq!(observed.len(), expected.len());
     }
 }

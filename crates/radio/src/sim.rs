@@ -185,7 +185,8 @@ pub enum Schedule<'a> {
 /// The wake queue behind [`Schedule::Dynamic`]: a calendar ring of
 /// per-slot buckets covering the next [`WakeQueue::WINDOW`] slots — O(1)
 /// enqueue, one occupancy-bitmap word scan to find the next busy slot —
-/// with a `BTreeMap` overflow for wakes farther out.
+/// with a `BTreeMap` overflow for wakes farther out. The ring length is
+/// a power of two, so a slot's bucket is a mask, not a division.
 ///
 /// The ring matters because the common wake hint is `t + 1` (an active
 /// device polling every slot): routing those through a `BTreeMap` costs a
@@ -194,8 +195,10 @@ pub enum Schedule<'a> {
 /// state allocates nothing.
 struct WakeQueue {
     /// Bucket for slot `t` (with `base ≤ t < base + ring.len()`) is
-    /// `ring[t % ring.len()]`.
+    /// `ring[t & mask]`.
     ring: Vec<Vec<NodeId>>,
+    /// `ring.len() - 1`; the length is a power of two.
+    mask: u64,
     /// Occupancy bitmap over ring indices.
     occupied: Vec<u64>,
     /// Wakes at or beyond `base + ring.len()` at enqueue time.
@@ -207,12 +210,14 @@ struct WakeQueue {
 }
 
 impl WakeQueue {
+    /// The ring length cap; a power of two like every ring length.
     const WINDOW: u64 = 1024;
 
     fn new(slots: u64) -> WakeQueue {
-        let win = Self::WINDOW.min(slots.max(1)) as usize;
+        let win = Self::WINDOW.min(slots.max(1).next_power_of_two()) as usize;
         WakeQueue {
             ring: (0..win).map(|_| Vec::new()).collect(),
+            mask: win as u64 - 1,
             occupied: vec![0u64; win.div_ceil(64)],
             far: BTreeMap::new(),
             pool: Vec::new(),
@@ -222,9 +227,8 @@ impl WakeQueue {
 
     fn push(&mut self, t: u64, v: NodeId) {
         debug_assert!(t >= self.base, "wake {t} before queue base {}", self.base);
-        let len = self.ring.len() as u64;
-        if t - self.base < len {
-            let i = (t % len) as usize;
+        if t - self.base <= self.mask {
+            let i = (t & self.mask) as usize;
             self.ring[i].push(v);
             self.occupied[i >> 6] |= 1 << (i & 63);
         } else {
@@ -238,7 +242,7 @@ impl WakeQueue {
     /// The earliest queued slot, if any.
     fn next_slot(&self) -> Option<u64> {
         let len = self.ring.len();
-        let start = (self.base % len as u64) as usize;
+        let start = (self.base & self.mask) as usize;
         let ring_next = self
             .scan_range(start, len)
             .map(|i| i - start)
@@ -276,9 +280,8 @@ impl WakeQueue {
     /// Takes the batch queued for slot `t` (from [`WakeQueue::next_slot`])
     /// and advances the queue past it.
     fn pop(&mut self, t: u64) -> Vec<NodeId> {
-        let len = self.ring.len() as u64;
-        let mut batch = if t - self.base < len {
-            let i = (t % len) as usize;
+        let mut batch = if t - self.base <= self.mask {
+            let i = (t & self.mask) as usize;
             self.occupied[i >> 6] &= !(1 << (i & 63));
             std::mem::replace(&mut self.ring[i], self.pool.pop().unwrap_or_default())
         } else {
@@ -1482,6 +1485,102 @@ mod tests {
         assert_eq!(b.polls, vec![(0, 0), (0, 4), (0, 8)]);
         assert_eq!(sim.meter().energy(1), 0);
         assert_eq!(sim.now(), 10);
+    }
+
+    /// Records every poll as `(slot, device)` and wakes each device at the
+    /// slots its `plan` lists, in order.
+    struct Planned {
+        plan: Vec<Vec<u64>>,
+        polls: Vec<(u64, NodeId)>,
+    }
+
+    impl SlotBehavior<u8> for Planned {
+        fn act(&mut self, v: NodeId, t: u64) -> Action<u8> {
+            self.polls.push((t, v));
+            Action::Listen
+        }
+        fn feedback(&mut self, _v: NodeId, _t: u64, _fb: Feedback<u8>) {}
+        fn first_wake(&mut self, v: NodeId) -> Option<u64> {
+            self.plan[v].first().copied()
+        }
+        fn next_wake(&mut self, v: NodeId, t: u64) -> Option<u64> {
+            self.plan[v].iter().copied().find(|&w| w > t)
+        }
+    }
+
+    #[test]
+    fn dynamic_polls_out_of_order_wakes_in_ascending_id_order() {
+        // Participants are offered in descending id order, so slot 0's
+        // batch is pushed reversed. Slot 4's batch is pushed by slot 1
+        // (devices 3, 7) and then slot 2 (1, 5, 9): two ascending runs
+        // whose concatenation is out of order.
+        let plan: Vec<Vec<u64>> = (0..10)
+            .map(|v| match v % 4 {
+                1 => vec![0, 2, 4],
+                3 => vec![0, 1, 4],
+                _ => vec![],
+            })
+            .collect();
+        let mut sim = Sim::new(Graph::from_edges(10, &[]).unwrap(), Model::Cd, 0);
+        let mut b = Planned {
+            plan,
+            polls: Vec::new(),
+        };
+        sim.drive(
+            Schedule::Dynamic {
+                participants: &[9, 7, 5, 3, 1],
+                slots: 6,
+            },
+            &mut b,
+        );
+        let at =
+            |t: u64| -> Vec<NodeId> { b.polls.iter().filter(|p| p.0 == t).map(|p| p.1).collect() };
+        assert_eq!(at(0), vec![1, 3, 5, 7, 9]);
+        assert_eq!(at(1), vec![3, 7]);
+        assert_eq!(at(2), vec![1, 5, 9]);
+        assert_eq!(at(4), vec![1, 3, 5, 7, 9]);
+        assert_eq!(b.polls.len(), 15);
+        assert_eq!(sim.now(), 6);
+    }
+
+    #[test]
+    fn far_wakes_merge_with_wrapped_ring_wakes_for_the_same_slot() {
+        // 3000 slots is no power of two, so the ring holds the 1024-slot
+        // cap. Device 1 asks for slot 1500 from slot 0, more than a ring
+        // ahead, so that wake parks in the far map. Devices 4 and 6 ask
+        // for it from slots 600 and 1000, within a ring of it but past the
+        // ring's wrap point (1500 maps to bucket 476). The three must be
+        // polled together at 1500, in id order, exactly once each.
+        let mut plan: Vec<Vec<u64>> = vec![Vec::new(); 7];
+        plan[1] = vec![0, 1500, 2999, 3000];
+        plan[4] = vec![600, 1500];
+        plan[6] = vec![1000, 1500, 2600];
+        let mut sim = Sim::new(Graph::from_edges(7, &[]).unwrap(), Model::Cd, 0);
+        let mut b = Planned {
+            plan,
+            polls: Vec::new(),
+        };
+        sim.drive(
+            Schedule::Dynamic {
+                participants: &[6, 4, 1],
+                slots: 3000,
+            },
+            &mut b,
+        );
+        assert_eq!(
+            b.polls,
+            vec![
+                (0, 1),
+                (600, 4),
+                (1000, 6),
+                (1500, 1),
+                (1500, 4),
+                (1500, 6),
+                (2600, 6),
+                (2999, 1),
+            ]
+        );
+        assert_eq!(sim.now(), 3000);
     }
 
     #[test]
